@@ -1,13 +1,12 @@
 """Fixed-point arbitrary-precision decimals on top of Python integers.
 
-A BigDecimal is sign * mantissa * 10^(-scale) with an explicit working
-precision budget. All series code in this package computes on raw
-scaled integers and wraps the result here; rounding (half-even) happens
-once, on final output.
+A BigDecimal is sign * mantissa * 10^(-scale). All series code in this
+package computes on raw scaled integers and wraps the result here;
+rounding (half-even) happens once, on final output.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import DomainError
@@ -57,20 +56,16 @@ def iroot(n: int, k: int) -> int:
 class BigDecimal:
     """Signed fixed-point decimal: value = mantissa * 10^(-scale).
 
-    mantissa carries the sign; scale counts digits after the point;
-    precision_budget records the working digits used to produce the
-    value (defaults to scale). Instances are immutable.
+    mantissa carries the sign; scale counts digits after the point.
+    Instances are immutable.
     """
 
     mantissa: int
     scale: int
-    precision_budget: int = field(default=-1)
 
     def __post_init__(self):
         if self.scale < 0:
             raise DomainError("scale must be nonnegative")
-        if self.precision_budget < 0:
-            object.__setattr__(self, "precision_budget", self.scale)
 
     # -- constructors ------------------------------------------------
 
@@ -160,25 +155,21 @@ class BigDecimal:
 
     def __add__(self, other: "BigDecimal") -> "BigDecimal":
         a, b, s = self._aligned(other)
-        return BigDecimal(a + b, s, max(self.precision_budget, other.precision_budget))
+        return BigDecimal(a + b, s)
 
     def __sub__(self, other: "BigDecimal") -> "BigDecimal":
         a, b, s = self._aligned(other)
-        return BigDecimal(a - b, s, max(self.precision_budget, other.precision_budget))
+        return BigDecimal(a - b, s)
 
     def __neg__(self) -> "BigDecimal":
-        return BigDecimal(-self.mantissa, self.scale, self.precision_budget)
+        return BigDecimal(-self.mantissa, self.scale)
 
     def __abs__(self) -> "BigDecimal":
-        return BigDecimal(abs(self.mantissa), self.scale, self.precision_budget)
+        return BigDecimal(abs(self.mantissa), self.scale)
 
     def __mul__(self, other: "BigDecimal") -> "BigDecimal":
         # exact: scales add; callers re-round when they care
-        return BigDecimal(
-            self.mantissa * other.mantissa,
-            self.scale + other.scale,
-            max(self.precision_budget, other.precision_budget),
-        )
+        return BigDecimal(self.mantissa * other.mantissa, self.scale + other.scale)
 
     def divide(self, other: "BigDecimal", scale: int) -> "BigDecimal":
         """self/other rounded half-even at the requested scale."""
@@ -188,18 +179,14 @@ class BigDecimal:
         den = other.mantissa * 10**self.scale
         if den < 0:
             num, den = -num, -den
-        return BigDecimal(round_half_even(num, den), scale, scale)
+        return BigDecimal(round_half_even(num, den), scale)
 
     def at_scale(self, scale: int) -> "BigDecimal":
         """Re-round (half-even) to a new scale; exact when widening."""
         if scale >= self.scale:
-            return BigDecimal(
-                self.mantissa * 10 ** (scale - self.scale),
-                scale,
-                self.precision_budget,
-            )
+            return BigDecimal(self.mantissa * 10 ** (scale - self.scale), scale)
         m = round_half_even(self.mantissa, 10 ** (self.scale - scale))
-        return BigDecimal(m, scale, min(self.precision_budget, scale))
+        return BigDecimal(m, scale)
 
     def sqrt(self, scale: int) -> "BigDecimal":
         if self.mantissa < 0:
@@ -209,7 +196,7 @@ class BigDecimal:
             m = math.isqrt(self.mantissa * 10**extra)
         else:
             m = math.isqrt(self.mantissa // 10**-extra)
-        return BigDecimal(m, scale, scale)
+        return BigDecimal(m, scale)
 
     def floor(self) -> int:
         return self.mantissa // 10**self.scale

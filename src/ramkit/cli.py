@@ -106,9 +106,17 @@ def _write_edge_list(path: str, graph) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_text(path: str) -> str:
+    """Contents of an ASCII --in file; unreadable files are domain errors."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+
+
 def _read_edge_list(path: str):
-    with open(path, encoding="ascii") as fh:
-        tokens = fh.read().split()
+    tokens = _read_text(path).split()
     if len(tokens) < 2:
         raise DomainError(f"{path}: missing edge-list header")
     ints = []
@@ -306,27 +314,18 @@ def _cmd_sums_tau(args) -> int:
 
 
 def _load_signal(args) -> ram_signal.Signal:
-    try:
-        with open(args.infile, encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read {args.infile}: {exc}") from None
     csv = args.csv or args.infile.lower().endswith(".csv")
-    return ram_signal.parse_samples(text, csv=csv)
+    return ram_signal.parse_samples(_read_text(args.infile), csv=csv)
 
 
 def _cmd_signal_decompose(args) -> int:
     sig = _load_signal(args)
     dec = ram_signal.fir_decompose(sig)
-    energies = {
-        q: float(sum(abs(complex(v)) ** 2 for v in comp))
-        for q, comp in dec.components.items()
-    }
-    total = sum(energies.values())
+    fractions = dec.energy_fractions()
     components = [
         {
             "q": q,
-            "energy_fraction": (energies[q] / total if total > 0 else 0.0),
+            "energy_fraction": fractions[q],
             "samples": [_json_number(v) for v in dec.components[q]],
         }
         for q in sorted(dec.components)

@@ -19,7 +19,6 @@ from .bigdec import BigDecimal
 _CHUD_A = 13591409
 _CHUD_B = 545140134
 _CHUD_X = -262537412640768000  # (-640320)^3
-_DIGITS_PER_TERM_CHUD = 14.181647462725477  # log10(151931373056000)
 
 
 def _ceil_log10(n: int) -> int:
@@ -33,7 +32,7 @@ def guard_digits(terms: int) -> int:
 
 
 def _wrap(scaled: int, working_scale: int, digits: int) -> BigDecimal:
-    return BigDecimal(scaled, working_scale, working_scale).at_scale(digits)
+    return BigDecimal(scaled, working_scale).at_scale(digits)
 
 
 # -- Madhava -----------------------------------------------------------

@@ -6,16 +6,15 @@ c_q(n) is evaluated exactly through the Mobius-sum formula
     c_q(n) = sum_{d | gcd(q, n)} mu(q/d) * d
 
 with the trigonometric definition kept only as a floating cross-check.
-Signal decomposition projects onto the circulant bases B_q for each
-divisor q of the length, solving the square system exactly over
-Fractions when the samples are rational, least squares otherwise.
+Signal decomposition is the closed-form orthogonal projection onto the
+Ramanujan subspaces S_q, one per divisor q of the length: exact over
+the rationals for int/Fraction samples of any length, floating
+otherwise. The circulant bases B_q serve the rank criterion.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import DomainError
 from .numtheory import (
@@ -28,7 +27,6 @@ from .numtheory import (
 )
 from .pi_engine import pi_chudnovsky
 
-_EXACT_SOLVE_LIMIT = 144  # exact rational decomposition up to this length
 _TRIG_TOLERANCE = 1e-9
 
 
@@ -399,79 +397,71 @@ class FirDecomposition:
                 out[i] = out[i] + v
         return tuple(out)
 
+    def energy_fractions(self) -> dict[int, float]:
+        """Share of the total energy sum |x_q[i]|^2 held by each component.
+
+        Every fraction is 0.0 for the all-zero signal.
+        """
+        energies = {
+            q: float(sum(abs(complex(v)) ** 2 for v in comp))
+            for q, comp in self.components.items()
+        }
+        total = sum(energies.values())
+        return {q: (e / total if total > 0.0 else 0.0) for q, e in energies.items()}
+
 
 def _is_exact_value(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-def _period_dictionary(n: int) -> tuple[list[int], list[list[int]], list[int]]:
-    """Divisors of n, dictionary columns (length n), and each column's q."""
-    qs = divisors(n)
-    columns: list[list[int]] = []
-    col_q: list[int] = []
-    for q in qs:
-        for col in ramanujan_basis(q).basis_cols:
-            columns.append([col[i % q] for i in range(n)])
-            col_q.append(q)
-    return qs, columns, col_q
-
-
-def _solve_exact(columns: list[list[int]], rhs: list) -> list[Fraction]:
-    """Solve the square system (columns as matrix columns) over Fractions."""
-    n = len(rhs)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise RuntimeError("period dictionary is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def fir_decompose(x: Signal) -> FirDecomposition:
     """Decompose x into q-periodic components, one per divisor q of N.
 
-    The dictionary stacks, for each divisor q of N, the first phi(q)
-    columns of B_q extended periodically; sum phi(q) = N makes it
-    square. Rational samples with N <= 144 are solved exactly
-    (residual 0); anything else falls back to least squares.
+    The Ramanujan subspaces S_q (q | N) are mutually orthogonal and span
+    every length-N signal, so the q-component is the projection
+    x_q[i] = (1/N) sum_j x[j] c_q((i - j) mod q). Expanding c_q by the
+    Mobius formula turns that convolution into sums over the folds
+    fold_d[r] = sum_{j = r mod d} x[j]:
+
+        x_q[i] = (1/N) sum_{d | q} mu(q/d) * d * fold_d[i mod d].
+
+    Samples that are all int/Fraction give exact rational components
+    (ints where the denominator is 1) and residual 0.0, at any length.
+    Otherwise components are floats, complex when some sample has a
+    nonzero imaginary part, and residual_norm is the float norm of
+    x - sum_q x_q.
     """
     n = x.n
-    qs, columns, col_q = _period_dictionary(n)
-    exact = n <= _EXACT_SOLVE_LIMIT and all(_is_exact_value(v) for v in x.samples)
+    exact = all(_is_exact_value(v) for v in x.samples)
     if exact:
-        coef = _solve_exact(columns, list(x.samples))
-        residual = 0.0
+        # scale to integers so the folds accumulate without Fractions
+        den = math.lcm(*(v.denominator for v in x.samples))
+        values = [v.numerator * (den // v.denominator) for v in x.samples]
+        den *= n
     else:
-        a = np.array(columns, dtype=float).T
-        b = np.array([complex(v) for v in x.samples])
-        if not np.iscomplexobj(b) or not b.imag.any():
-            b = b.real
-        coef, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-        residual = float(np.linalg.norm(b - a @ coef))
+        values = [complex(v) for v in x.samples]
+        if not any(v.imag for v in values):
+            values = [v.real for v in values]
+    qs = divisors(n)
+    folds = {d: [sum(values[r::d]) for r in range(d)] for d in qs}
     components = {}
     for q in qs:
-        comp = [Fraction(0) if exact else 0.0] * n
-        for j, cq in enumerate(col_q):
-            if cq != q:
-                continue
-            cj = coef[j]
-            for i in range(n):
-                comp[i] = comp[i] + cj * columns[j][i]
+        row = [0] * q
+        for d in divisors(q):
+            weight = mobius(q // d) * d
+            if weight:
+                fold = folds[d] * (q // d)
+                row = [a + weight * b for a, b in zip(row, fold)]
         if exact:
-            comp = [int(v) if v.denominator == 1 else v for v in comp]
+            row = [a // den if a % den == 0 else Fraction(a, den) for a in row]
         else:
-            comp = [complex(v) if np.iscomplexobj(coef) else float(v) for v in comp]
-        components[q] = tuple(comp)
+            row = [a / n for a in row]
+        components[q] = tuple(row) * (n // q)
+    if exact:
+        residual = 0.0
+    else:
+        recon = [sum(parts) for parts in zip(*components.values())]
+        residual = math.hypot(*(abs(a - b) for a, b in zip(values, recon)))
     return FirDecomposition(
         n=n, components=components, residual_norm=residual, exact=exact
     )
@@ -485,14 +475,6 @@ def estimate_periods(x: Signal, top_k: int) -> list[tuple[int, float]]:
     """
     if top_k < 1:
         raise DomainError("top_k must be >= 1")
-    dec = fir_decompose(x)
-    energies = {
-        q: float(sum(abs(complex(v)) ** 2 for v in comp))
-        for q, comp in dec.components.items()
-    }
-    total = sum(energies.values())
-    fractions = {
-        q: (e / total if total > 0.0 else 0.0) for q, e in energies.items()
-    }
+    fractions = fir_decompose(x).energy_fractions()
     ranked = sorted(fractions.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:top_k]

@@ -250,6 +250,22 @@ def test_signal_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_graph_check_missing_file(capsys):
+    assert run(["graph", "check", "--in", "/nonexistent/graph.txt",
+                "--degree", "6"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_signal_non_ascii_file(tmp_path, capsys):
+    sig = tmp_path / "sig.txt"
+    sig.write_bytes(b"1\n\xff\n")
+    assert run(["signal", "periods", "--in", str(sig)]) == 1
+    _, err = out_of(capsys)
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_reruns_are_byte_identical(capsys):
     for argv in (
         ["pi", "--method", "chudnovsky", "--digits", "60", "--json"],

@@ -3,8 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramkit import DomainError
 from ramkit.numtheory import gcd, totient
@@ -187,13 +190,33 @@ def test_fir_decompose_c3_plus_c7():
     assert minimal_period(dec.reconstruction()) == 21
 
 
+def _direct_projection(samples, q, indices):
+    """x_q[i] = (1/N) sum_j x[j] c_q((i - j) mod q), by direct convolution."""
+    n = len(samples)
+    row = [ramanujan_sum(q, m) for m in range(q)]
+    return [
+        sum(x * row[(i - j) % q] for j, x in enumerate(samples)) / Fraction(n)
+        for i in indices
+    ]
+
+
 def test_fir_exact_reconstruction_small_lengths():
     rng = random.Random(123)
-    for n in range(1, 37):
+    for n in [*range(1, 37), 180, 240, 2520]:
         samples = tuple(rng.randrange(-9, 10) for _ in range(n))
         dec = fir_decompose(Signal(samples))
         assert dec.exact
         assert dec.reconstruction() == samples
+        for q, comp in dec.components.items():
+            assert comp == comp[:q] * (n // q)
+            # the direct convolution is O(N) per sample; spot-check N = 2520
+            indices = range(q) if n <= 240 else sorted({0, q // 2, q - 1})
+            assert [comp[i] for i in indices] == _direct_projection(
+                samples, q, indices
+            )
+            assert all(
+                type(v) is int for v in comp if Fraction(v).denominator == 1
+            )
 
 
 def test_fir_float_residual_small():
@@ -204,6 +227,46 @@ def test_fir_float_residual_small():
     recon = dec.reconstruction()
     assert max(abs(a - b) for a, b in zip(recon, samples)) < 1e-9
     assert dec.residual_norm < 1e-9
+
+
+def test_fir_complex_and_float_components():
+    rng = random.Random(9)
+    n = 24
+    re = [rng.uniform(-3, 3) for _ in range(n)]
+    im = [rng.uniform(-3, 3) for _ in range(n)]
+    for samples, kind in (
+        (tuple(complex(a, b) for a, b in zip(re, im)), complex),
+        (tuple(complex(a, 0) for a in re), float),
+        (parse_samples("".join(f"{i},0\n" for i in range(n))).samples, float),
+    ):
+        dec = fir_decompose(Signal(samples))
+        assert not dec.exact
+        assert dec.residual_norm < 1e-12
+        for q, comp in dec.components.items():
+            assert all(type(v) is kind for v in comp)
+            want = [complex(v) for v in _direct_projection(samples, q, range(n))]
+            tol = 1e-12 * (1 + max(abs(v) for v in samples))
+            assert max(abs(a - b) for a, b in zip(comp, want)) < tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 300).flatmap(
+        lambda n: st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)
+    )
+)
+def test_fir_exact_projection_properties(samples):
+    samples = tuple(samples)
+    n = len(samples)
+    dec = fir_decompose(Signal(samples))
+    assert dec.exact and dec.residual_norm == 0.0
+    assert dec.reconstruction() == samples
+    scaled = {}
+    for q, comp in dec.components.items():
+        assert all(comp[i] == comp[i % q] for i in range(n))
+        scaled[q] = [int(v * n) for v in comp]  # N * x_q is integral
+    for q, r in combinations(scaled, 2):
+        assert sum(a * b for a, b in zip(scaled[q], scaled[r])) == 0
 
 
 def test_estimate_periods_clean_and_noisy():
