@@ -12,7 +12,10 @@ import math
 import sys
 from fractions import Fraction
 
-from . import DomainError, contfrac, lps_graphs, pi_engine, ram_signal
+from . import DomainError, contfrac, pi_engine, ram_signal
+
+# lps_graphs (and with it numpy) is imported inside the graph commands
+# and graph self-checks only, so the other commands start without it.
 
 _PI_42 = "3.141592653589793238462643383279502884197169"
 _C6_ROW = (2, 1, -1, -2, -1, 1, 2, 1, -1, -2, -1, 1)
@@ -116,6 +119,8 @@ def _read_text(path: str) -> str:
 
 
 def _read_edge_list(path: str):
+    from . import lps_graphs
+
     tokens = _read_text(path).split()
     if len(tokens) < 2:
         raise DomainError(f"{path}: missing edge-list header")
@@ -142,6 +147,8 @@ def _read_edge_list(path: str):
 
 
 def _cmd_graph_build(args) -> int:
+    from . import lps_graphs
+
     graph, report, meta = lps_graphs.build_lps(args.p, args.q)
     sidecar = _graph_metadata(report, args.p, args.q, meta["branch"], graph.n)
     if args.out:
@@ -160,6 +167,8 @@ def _cmd_graph_build(args) -> int:
 
 
 def _cmd_graph_check(args) -> int:
+    from . import lps_graphs
+
     graph = _read_edge_list(args.infile)
     report = lps_graphs.spectral_report(graph, args.degree)
     payload = {
@@ -411,6 +420,8 @@ def _check_tau_bound_quick() -> str:
 
 
 def _check_generating_set() -> str:
+    from . import lps_graphs
+
     gens = lps_graphs.generating_set(5, 29)
     got = {g.entries() for g in gens}
     if got != _GEN_SET_5_29:
@@ -419,6 +430,8 @@ def _check_generating_set() -> str:
 
 
 def _check_graph_5_13() -> str:
+    from . import lps_graphs
+
     graph, report, meta = lps_graphs.build_lps(5, 13)
     if graph.n != 2184 or meta["branch"] != lps_graphs.PGL:
         raise AssertionError(f"n={graph.n} branch={meta['branch']}")
@@ -431,6 +444,8 @@ def _check_graph_5_13() -> str:
 
 
 def _check_graph_5_29() -> str:
+    from . import lps_graphs
+
     graph, report, meta = lps_graphs.build_lps(5, 29)
     if graph.n != 12180 or meta["branch"] != lps_graphs.PSL:
         raise AssertionError(f"n={graph.n} branch={meta['branch']}")

@@ -4,12 +4,32 @@ constants.
 The graphs are Cayley graphs of PGL(2,q) or PSL(2,q) over a generating
 set built from the p+1 integer solutions of a0^2+a1^2+a2^2+a3^2 = p.
 Projective matrices are stored as canonical representatives so equality
-and hashing are exact; vertex ids are positions in the deterministic
-group enumeration order.
+is exact; vertex ids are positions in the deterministic group
+enumeration order.
+
+The build runs on integer arrays, not one Python object per element:
+
+- enumerate_group returns the group as an (n, 4) int64 array of
+  canonical (a, b, c, d) rows in lexicographic order, which is also the
+  numeric order of the base-q codes ((a*q + b)*q + c)*q + d.
+- cayley_graph multiplies every element by one generator at a time,
+  canonicalizes the products row-wise and finds them by searchsorted on
+  the codes. The result is an (n, k) int32 neighbor array with sorted
+  rows; read row-major it is the indices of a CSR matrix whose indptr is
+  k * arange(n + 1).
+- Graph also accepts per-vertex neighbor lists (edge-list files, small
+  test graphs). Graph.csr() gives (indptr, indices) for either form, and
+  the degree, symmetry, connectivity and bipartiteness checks and the
+  dense and sparse matrix assembly all read that pair, with breadth-first
+  search advancing one whole frontier per numpy step.
+
+ProjMatrix is the per-element reference API: generating_set returns
+ProjMatrix objects, and the tests check the array build against its
+products.
 """
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,37 +122,59 @@ class FourSquares:
 
 @dataclass
 class Graph:
-    """Undirected multigraph as per-vertex sorted neighbor lists.
+    """Undirected multigraph as per-vertex sorted neighbor rows.
 
+    adjacency is an (n, k) integer array (k-regular graphs, as
+    cayley_graph builds them) or a list of lists, kept as given.
     Multi-edges appear with multiplicity; a vertex's degree is the
-    length of its list.
+    length of its row.
     """
 
     n: int
-    adjacency: list[list[int]]
+    adjacency: "np.ndarray | list[list[int]]"
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the neighbors of u are
+        indices[indptr[u]:indptr[u + 1]]."""
+        adj = self.adjacency
+        if isinstance(adj, np.ndarray):
+            return np.arange(self.n + 1, dtype=np.int64) * adj.shape[1], adj.ravel()
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=self.n), out=indptr[1:])
+        indices = np.fromiter(
+            itertools.chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1])
+        )
+        return indptr, indices
 
     def degree_set(self) -> set[int]:
-        return {len(lst) for lst in self.adjacency}
+        return set(np.diff(self.csr()[0]).tolist())
 
     def edge_count(self) -> int:
-        loops = sum(lst.count(u) for u, lst in enumerate(self.adjacency))
-        return (sum(len(lst) for lst in self.adjacency) - loops) // 2 + loops
+        indptr, indices = self.csr()
+        loops = int(np.count_nonzero(indices == _sources(indptr)))
+        return (len(indices) - loops) // 2 + loops
 
     def edges(self):
-        """Each undirected edge once (loops once), with multiplicity."""
-        for u, lst in enumerate(self.adjacency):
-            for v in lst:
-                if v >= u:
-                    yield (u, v)
+        """Each undirected edge once (loops once), with multiplicity, in
+        row order."""
+        indptr, indices = self.csr()
+        u = _sources(indptr)
+        keep = indices >= u
+        return zip(u[keep].tolist(), indices[keep].tolist())
 
-    def check_symmetric(self) -> None:
-        cnt: Counter = Counter()
-        for u, lst in enumerate(self.adjacency):
-            for v in lst:
-                cnt[(u, v)] += 1
-        for (u, v), m in cnt.items():
-            if u != v and cnt[(v, u)] != m:
-                raise DomainError(f"asymmetric adjacency at ({u},{v})")
+
+def _sources(indptr: np.ndarray) -> np.ndarray:
+    """The row (source vertex) of every CSR entry."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _check_symmetric(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Every edge (u, v) appears as often as (v, u)."""
+    n = len(indptr) - 1
+    u = _sources(indptr)
+    v = indices.astype(np.int64)
+    if not np.array_equal(np.sort(u * n + v), np.sort(v * n + u)):
+        raise DomainError("asymmetric adjacency")
 
 
 @dataclass(frozen=True)
@@ -223,148 +265,198 @@ def generating_set(p: int, q: int) -> list[ProjMatrix]:
     return gens
 
 
-def enumerate_group(q: int, kind: str) -> list[ProjMatrix]:
-    """All canonical elements of PGL(2,q) or PSL(2,q), sorted by entry
-    tuple. Counts are q(q^2-1) and q(q^2-1)/2."""
+def _inverses(q: int) -> np.ndarray:
+    """x -> x^-1 mod q as a lookup table (entry 0 unused)."""
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = [pow(x, q - 2, q) for x in range(1, q)]
+    return inv
+
+
+def _rows(*cols) -> np.ndarray:
+    """(m, 4) array from four broadcastable entry grids, row-major."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, 4)
+
+
+def _codes(m: np.ndarray, q: int) -> np.ndarray:
+    """Base-q code of each (a, b, c, d) row; ordered like the rows."""
+    return ((m[:, 0] * q + m[:, 1]) * q + m[:, 2]) * q + m[:, 3]
+
+
+def _canonical_rows(m: np.ndarray, q: int, kind: str, inv: np.ndarray) -> np.ndarray:
+    """ProjMatrix.canonical row by row, for invertible (n, 4) arrays
+    with entries in [0, q) (and determinant 1 for PSL). m is modified."""
+    # an invertible matrix has a nonzero top row, so a or b leads
+    first = np.where(m[:, 0] != 0, m[:, 0], m[:, 1])
+    if kind == PGL:
+        return m * inv[first][:, None] % q
+    flip = first > (q - 1) // 2
+    m[flip] = (q - m[flip]) % q
+    return m
+
+
+def enumerate_group(q: int, kind: str) -> np.ndarray:
+    """All canonical elements of PGL(2,q) or PSL(2,q) as an (n, 4) int64
+    array of (a, b, c, d) rows in lexicographic order. Counts are
+    q(q^2-1) and q(q^2-1)/2.
+
+    The a = 0 rows come first, then the a != 0 rows over an (a, b, c)
+    grid of at most q^3 cells, with d kept where d != bc (PGL, a = 1) or
+    solved from ad - bc = 1 (PSL, a in [1, (q-1)/2]). Each block is
+    written in lexicographic order, so nothing is sorted.
+    """
     if q == 2 or not is_prime(q):
         raise DomainError("q must be an odd prime")
-    elems: list[ProjMatrix] = []
+    r = np.arange(q, dtype=np.int64)
     if kind == PGL:
-        # a = 1: any b,c,d with d != bc; a = 0: b = 1, c != 0, any d
-        for b in range(q):
-            for c in range(q):
-                bc = b * c % q
-                for d in range(q):
-                    if d != bc:
-                        elems.append(ProjMatrix(1, b, c, d, q, PGL))
-        for c in range(1, q):
-            for d in range(q):
-                elems.append(ProjMatrix(0, 1, c, d, q, PGL))
+        # a = 0: b = 1, c != 0, any d; a = 1: any b, c, d with d != bc
+        c0, d0 = np.meshgrid(r[1:], r, indexing="ij")
+        zero = _rows(0, 1, c0, d0)
+        b, c, d = (x.ravel() for x in np.meshgrid(r, r, r, indexing="ij"))
+        keep = d != b * c % q
+        rest = _rows(1, b[keep], c[keep], d[keep])
     elif kind == PSL:
         half = (q - 1) // 2
-        inv = [0] * q
-        for x in range(1, q):
-            inv[x] = pow(x, q - 2, q)
-        seen = set()
-
-        def add(a, b, c, d):
-            if next(x for x in (a, b, c, d) if x) > half:
-                a, b, c, d = (-a) % q, (-b) % q, (-c) % q, (-d) % q
-            seen.add((a, b, c, d))
-
-        for a in range(1, q):
-            for b in range(q):
-                for c in range(q):
-                    add(a, b, c, (1 + b * c) * inv[a] % q)
-        for b in range(1, q):  # a = 0 forces c = -1/b, d free
-            c = (q - inv[b]) % q
-            for d in range(q):
-                add(0, b, c, d)
-        return [ProjMatrix(*m, q, PSL) for m in sorted(seen)]
+        inv = _inverses(q)
+        # the sign makes the first nonzero entry lie in [1, half]; with
+        # a = 0 that entry is b, and c = -1/b while d is free
+        b0, d0 = np.meshgrid(r[1 : half + 1], r, indexing="ij")
+        zero = _rows(0, b0, -inv[b0] % q, d0)
+        a, b, c = (x.ravel() for x in np.meshgrid(r[1 : half + 1], r, r, indexing="ij"))
+        rest = _rows(a, b, c, (1 + b * c) * inv[a] % q)
     else:
         raise DomainError(f"unknown group kind {kind!r}")
-    elems.sort(key=ProjMatrix.entries)
-    return elems
+    return np.concatenate([zero, rest])
 
 
-def cayley_graph(elements, gens, multiply=None) -> Graph:
-    """Cayley graph: one edge (g, g*s) per element g and generator s.
+def _projective_products(elements: np.ndarray, gens) -> np.ndarray:
+    """(n, k) indices of element i times generator j, for canonical
+    (n, 4) entry rows and ProjMatrix generators."""
+    if not gens:
+        raise DomainError("empty generating set")
+    q, kind = gens[0].q, gens[0].kind
+    if any((s.q, s.kind) != (q, kind) for s in gens):
+        raise DomainError("mixed group multiplication")
+    if elements.ndim != 2 or elements.shape[1] != 4 or len(elements) == 0:
+        raise DomainError("elements must be a nonempty (n, 4) entry array")
+    elements = elements.astype(np.int64)
+    codes = _codes(elements, q)
+    if np.any(codes[1:] <= codes[:-1]):
+        raise DomainError("group elements must be distinct and in lexicographic order")
 
-    Works for any hashable element type given a multiply callable;
-    ProjMatrix elements default to projective matrix multiplication.
-    The generator set must be symmetric (closed under inverse), which
-    is what makes the adjacency an undirected multigraph.
-    """
-    elements = list(elements)
-    if multiply is None:
-        multiply = lambda x, y: x @ y
+    def find(want: np.ndarray, message: str) -> np.ndarray:
+        pos = np.searchsorted(codes, want)
+        pos[pos == len(codes)] = 0
+        if not np.array_equal(codes[pos], want):
+            raise DomainError(message)
+        return pos
+
+    find(_codes(np.array([s.entries() for s in gens], dtype=np.int64), q), "generator not in group")
+    inv = _inverses(q)
+    a, b, c, d = elements.T
+    cols = np.empty((len(elements), len(gens)), dtype=np.int32)
+    for j, s in enumerate(gens):
+        prod = np.stack(
+            [a * s.a + b * s.c, a * s.b + b * s.d, c * s.a + d * s.c, c * s.b + d * s.d],
+            axis=1,
+        ) % q
+        cols[:, j] = find(_codes(_canonical_rows(prod, q, kind, inv), q), "products leave the element list")
+    return cols
+
+
+def _hashed_products(elements: list, gens, multiply) -> np.ndarray:
+    """(n, k) indices of multiply(element i, generator j) by dict lookup,
+    for any hashable element type."""
     index = {g: i for i, g in enumerate(elements)}
     if len(index) != len(elements):
         raise DomainError("duplicate group elements")
-    for s in gens:
-        if s not in index:
-            raise DomainError("generator not in group")
-    adj: list[list[int]] = [[] for _ in elements]
-    for i, g in enumerate(elements):
-        row = adj[i]
-        for s in gens:
-            h = multiply(g, s)
-            j = index.get(h)
-            if j is None:
-                raise DomainError("products leave the element list")
-            row.append(j)
-        row.sort()
-    graph = Graph(len(elements), adj)
-    graph.check_symmetric()  # fails on non-symmetric generator sets
+    if any(s not in index for s in gens):
+        raise DomainError("generator not in group")
+    try:
+        rows = [[index[multiply(g, s)] for s in gens] for g in elements]
+    except KeyError:
+        raise DomainError("products leave the element list") from None
+    return np.array(rows, dtype=np.int32).reshape(len(elements), len(gens))
+
+
+def cayley_graph(elements, gens, multiply=None) -> Graph:
+    """Cayley graph: one edge (g, g*s) per element g and generator s, as
+    an (n, k) neighbor array with sorted rows.
+
+    Without multiply, elements is the (n, 4) array of canonical entry
+    rows in lexicographic order that enumerate_group returns, and gens
+    are ProjMatrix objects. With a multiply callable, elements may be any
+    hashable objects. The generator set must be symmetric (closed under
+    inverse), which is what makes the adjacency an undirected multigraph.
+    """
+    if multiply is None:
+        cols = _projective_products(np.asarray(elements), gens)
+    else:
+        cols = _hashed_products(list(elements), gens, multiply)
+    cols.sort(axis=1)
+    graph = Graph(len(cols), cols)
+    _check_symmetric(*graph.csr())  # fails on non-symmetric generator sets
     return graph
+
+
+def _bfs_levels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from vertex 0, -1 where unreachable; each
+    step gathers the neighbors of the whole frontier at once."""
+    level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        reached = np.zeros(len(level), dtype=bool)
+        reached[indices[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]] = True
+        frontier = np.flatnonzero(reached & (level < 0))
+        level[frontier] = depth
+    return level
 
 
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability from vertex 0."""
     if g.n == 0:
         raise DomainError("empty graph")
-    seen = bytearray(g.n)
-    seen[0] = 1
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    return count == g.n
+    return bool((_bfs_levels(*g.csr()) >= 0).all())
 
 
-def _bipartition(g: Graph) -> bool:
-    """Two-colorability by BFS (graph assumed connected)."""
-    color = [-1] * g.n
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adjacency[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    nxt.append(v)
-                elif color[v] == color[u]:
-                    return False
-        frontier = nxt
-    return True
+def _bipartition(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Two-colorability of a connected graph: no edge joins two vertices
+    at BFS depths of equal parity."""
+    side = _bfs_levels(indptr, indices) % 2
+    return bool((side[_sources(indptr)] != side[indices]).all())
 
 
 _DENSE_LIMIT = 2000
 
 
-def _extremal_eigenvalues(g: Graph, how_many: int, force_iterative: bool = False) -> np.ndarray:
+def _extremal_eigenvalues(
+    indptr: np.ndarray, indices: np.ndarray, how_many: int, force_iterative: bool = False
+) -> np.ndarray:
     """Largest-magnitude adjacency eigenvalues, descending by |value|.
 
     Dense symmetric solve up to 2000 vertices, Lanczos (ARPACK) above;
     the Lanczos start vector is seeded for run-to-run determinism.
     """
-    if g.n <= _DENSE_LIMIT and not force_iterative:
-        a = np.zeros((g.n, g.n))
-        for u, lst in enumerate(g.adjacency):
-            for v in lst:
-                a[u, v] += 1.0
+    n = len(indptr) - 1
+    rows = _sources(indptr)
+    if n <= _DENSE_LIMIT and not force_iterative:
+        a = np.zeros((n, n))
+        np.add.at(a, (rows, indices), 1.0)
         vals = np.linalg.eigvalsh(a)
         order = np.argsort(-np.abs(vals), kind="stable")
         return vals[order][:how_many]
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    rows, cols = [], []
-    for u, lst in enumerate(g.adjacency):
-        rows.extend([u] * len(lst))
-        cols.extend(lst)
-    data = np.ones(len(rows))
-    a = sp.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    v0 = np.random.default_rng(0).standard_normal(g.n)
-    k_eig = min(how_many, g.n - 1)
+    data = np.ones(len(indices))
+    a = sp.coo_matrix((data, (rows, indices)), shape=(n, n)).tocsr()
+    v0 = np.random.default_rng(0).standard_normal(n)
+    k_eig = min(how_many, n - 1)
     vals = spla.eigsh(a, k=k_eig, which="LM", v0=v0, return_eigenvectors=False)
     order = np.argsort(-np.abs(vals), kind="stable")
     return vals[order]
@@ -379,13 +471,15 @@ def spectral_report(g: Graph, k: int, force_iterative: bool = False) -> Spectral
     expansion. lambda2 keeps the literal second-largest |eigenvalue|
     for reporting (equal to k on bipartite graphs).
     """
-    if g.degree_set() != {k}:
+    indptr, indices = g.csr()
+    if set(np.diff(indptr).tolist()) != {k}:
         raise DomainError(f"graph is not {k}-regular")
-    if not is_connected(g):
+    # a k-regular CSR is its own (n, k) neighbor array
+    if not is_connected(Graph(g.n, indices.reshape(g.n, k))):
         raise DomainError("spectral report requires a connected graph")
-    bipartite = _bipartition(g)
+    bipartite = _bipartition(indptr, indices)
     want = 4 if not bipartite else 5
-    vals = _extremal_eigenvalues(g, want, force_iterative)
+    vals = _extremal_eigenvalues(indptr, indices, want, force_iterative)
     abs_desc = list(vals)
     lambda1 = float(max(vals))
     lambda2 = float(abs(abs_desc[1])) if len(abs_desc) > 1 else 0.0
@@ -417,11 +511,7 @@ def expansion_constant(g: Graph) -> Fraction:
         raise DomainError("expansion needs at least two vertices")
     if not is_connected(g):
         raise DomainError("expansion constant requires a connected graph")
-    edge_masks = []
-    for u, lst in enumerate(g.adjacency):
-        for v in lst:
-            if v > u:
-                edge_masks.append((1 << u) | (1 << v))
+    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges() if v > u]
     best = None
     for subset in range(1, 1 << (g.n - 1)):  # vertex n-1 stays outside F
         size = subset.bit_count()
@@ -450,9 +540,9 @@ def build_lps(p: int, q: int) -> tuple[Graph, SpectralReport, dict]:
         "branch": kind,
         "vertex_count": graph.n,
         "degree": p + 1,
-        "connected": is_connected(graph),
+        "connected": True,  # spectral_report raised otherwise
         "bipartite": report.bipartite,
-        "lambda": report.lambda2,
+        "lambda2": report.lambda2,
         "lambda_nontrivial": report.lambda_nontrivial,
         "bound": report.bound,
         "bound_alt": report.bound_alt,

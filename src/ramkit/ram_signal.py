@@ -268,21 +268,26 @@ def check_tau_bound(p_max: int) -> TauBoundReport:
     )
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination over Fractions."""
+def _exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After a pivot step every entry below it is a minor of the original
+    matrix, so dividing by the previous pivot is exact and the entries
+    stay integers.
+    """
     rows = [list(r) for r in rows]
     nrows, ncols = len(rows), len(rows[0])
-    rank = 0
+    rank, prev = 0, 1
     for col in range(ncols):
         piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
+        lead = rows[rank]
         for r in range(rank + 1, nrows):
-            f = rows[r][col] / lead
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][col]
+            rows[r] = [(lead[col] * a - f * b) // prev for a, b in zip(rows[r], lead)]
+        prev = lead[col]
         rank += 1
         if rank == nrows:
             break
@@ -311,7 +316,7 @@ def ramanujan_basis(q: int) -> RamanujanBasis:
     matrix = tuple(tuple(row[(j - k) % q] for k in range(q)) for j in range(q))
     phi = totient(q)
     cols = tuple(tuple(matrix[j][k] for j in range(q)) for k in range(phi))
-    rank = _exact_rank([[Fraction(v) for v in r] for r in matrix])
+    rank = _exact_rank(matrix)
     if rank != phi:
         raise DomainError(f"rank(B_{q}) = {rank}, expected phi({q}) = {phi}")
     return RamanujanBasis(q=q, matrix=matrix, basis_cols=cols, rank=rank)
@@ -338,7 +343,9 @@ def parse_samples(text: str, csv: bool = False) -> Signal:
     Default format is one sample per line, either a real number or
     "re,im" for a complex sample. csv=True reads a flat list of reals
     separated by commas and/or whitespace. Integer-looking tokens stay
-    exact ints so the rational decomposition path applies.
+    exact ints so the rational decomposition path applies. nan and inf
+    samples are rejected: they would make every energy fraction
+    meaningless.
     """
 
     def scalar(tok: str):
@@ -347,9 +354,12 @@ def parse_samples(text: str, csv: bool = False) -> Signal:
             return int(tok)
         except ValueError:
             try:
-                return float(tok)
+                value = float(tok)
             except ValueError:
                 raise DomainError(f"cannot parse sample {tok!r}") from None
+            if not math.isfinite(value):
+                raise DomainError(f"sample {tok!r} is not finite")
+            return value
 
     values = []
     if csv:

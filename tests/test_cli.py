@@ -306,3 +306,28 @@ def test_selftest_catches_corrupted_table(monkeypatch, capsys):
     assert payload["failed"] >= 1
     failed_names = {c["name"] for c in payload["checks"] if not c["ok"]}
     assert "Table c_6" in failed_names
+
+
+@pytest.mark.parametrize("command", ["periods", "decompose"])
+@pytest.mark.parametrize("fmt", [[], ["--csv"]])
+def test_signal_non_finite_sample(tmp_path, capsys, command, fmt):
+    sig = tmp_path / "sig.txt"
+    sig.write_text("1\ninf\n2\n3")
+    assert run(["signal", command, "--in", str(sig), *fmt]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_import_leaves_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ramkit
+
+    src = str(Path(ramkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import ramkit.cli, sys; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -237,3 +237,59 @@ def test_build_lps_13_29():
     assert abs(report.lambda_nontrivial - 6.948738) < 1e-5
     assert abs(report.bound - 7.211103) < 1e-5
     assert report.is_ramanujan
+
+
+def brute_force_elements(q: int, kind: str) -> list[tuple[int, int, int, int]]:
+    """Sorted canonical images of every invertible 4-tuple mod q (the
+    determinant-1 tuples for PSL)."""
+    want_det = {1} if kind == PSL else set(range(1, q))
+    found = set()
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    if (a * d - b * c) % q in want_det:
+                        found.add(ProjMatrix.canonical(a, b, c, d, q, kind).entries())
+    return sorted(found)
+
+
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("kind", [PGL, PSL])
+def test_enumerate_group_matches_brute_force(q, kind):
+    assert enumerate_group(q, kind).tolist() == [list(e) for e in brute_force_elements(q, kind)]
+
+
+@pytest.mark.parametrize("p,q", [(5, 13), (17, 13), (13, 17), (5, 29)])
+def test_build_lps_rows_match_projmatrix_products(p, q):
+    gens = generating_set(p, q)
+    kind = gens[0].kind
+    elements = [ProjMatrix(*e, q, kind) for e in brute_force_elements(q, kind)]
+    index = {g: i for i, g in enumerate(elements)}
+    expected = [sorted(index[g @ s] for s in gens) for g in elements]
+    graph, _, meta = build_lps(p, q)
+    assert meta["branch"] == kind and graph.n == len(elements)
+    assert [list(map(int, row)) for row in graph.adjacency] == expected
+
+
+def test_list_graphs_irregular_and_disconnected(tmp_path, capsys):
+    from ramkit.cli import run
+
+    path_4 = [[1], [0, 2], [1, 3], [2]]
+    two_triangles = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
+    for lists in (path_4, two_triangles):
+        with pytest.raises(DomainError):
+            spectral_report(Graph(len(lists), lists), 2)
+    g = Graph(6, two_triangles)
+    assert g.degree_set() == {2} and g.edge_count() == 6
+    assert list(g.edges()) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    assert not is_connected(g)
+    assert g.adjacency is two_triangles  # lists are kept as given, mutable
+    g.adjacency[0].pop()
+    assert g.degree_set() == {1, 2}
+    for name, text in (("path.txt", "4 3\n0 1\n1 2\n2 3\n"),
+                       ("triangles.txt", "6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")):
+        (tmp_path / name).write_text(text)
+        assert run(["graph", "check", "--in", str(tmp_path / name), "--degree", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
