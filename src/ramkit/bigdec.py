@@ -12,6 +12,54 @@ from fractions import Fraction
 from . import DomainError
 
 
+# Python caps int <-> str conversion at 4300 digits by default; longer
+# numbers go through divide-and-conquer on 10^(_BLOCK * 2^i), whose
+# pieces stay far below the cap.
+_DIRECT_DIGITS = 4000
+_DIRECT_LIMIT = 10**_DIRECT_DIGITS
+_BLOCK = 1024
+
+
+def _int_to_str(n: int) -> str:
+    """Decimal digits of an integer of any length (sign included)."""
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    if n < _DIRECT_LIMIT:
+        return str(n)
+    pows = [10**_BLOCK]  # pows[i] = 10^(_BLOCK * 2^i)
+    while 2 * pows[-1].bit_length() - 1 <= n.bit_length():
+        pows.append(pows[-1] * pows[-1])
+
+    def digits(x: int, i: int, pad: bool) -> str:
+        # x < pows[i]^2; padded output has exactly _BLOCK * 2^(i+1) digits
+        if i < 0:
+            return str(x).zfill(_BLOCK) if pad else str(x)
+        hi, lo = divmod(x, pows[i])
+        if hi == 0 and not pad:
+            return digits(lo, i - 1, False)
+        return digits(hi, i - 1, pad) + digits(lo, i - 1, True)
+
+    return digits(n, len(pows) - 1, False)
+
+
+def _str_to_int(text: str) -> int:
+    """Integer value of a string of decimal digits of any length."""
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _str_to_int(text[:-half]) * 10**half + _str_to_int(text[-half:])
+
+
+def _decimal_length(n: int) -> int:
+    """Number of decimal digits of n >= 1, without converting it to text."""
+    d = int((n.bit_length() - 1) * math.log10(2))  # estimate of floor(log10 n)
+    while d > 0 and 10**d > n:
+        d -= 1
+    while 10 ** (d + 1) <= n:
+        d += 1
+    return d + 1
+
+
 def round_half_even(num: int, den: int) -> int:
     """Nearest integer to num/den, ties to even. den > 0."""
     q, r = divmod(num, den)
@@ -93,7 +141,7 @@ class BigDecimal:
             intpart, fracpart = text, ""
         if not (intpart + fracpart).isdigit():
             raise DomainError(f"not a decimal literal: {text!r}")
-        mantissa = int(intpart + fracpart) if intpart + fracpart else 0
+        mantissa = _str_to_int(intpart + fracpart)
         return cls(sign * mantissa, len(fracpart))
 
     # -- accessors ---------------------------------------------------
@@ -204,7 +252,7 @@ class BigDecimal:
     # -- text ----------------------------------------------------------
 
     def __str__(self) -> str:
-        body = str(abs(self.mantissa)).rjust(self.scale + 1, "0")
+        body = _int_to_str(abs(self.mantissa)).rjust(self.scale + 1, "0")
         if self.scale:
             body = body[: -self.scale] + "." + body[-self.scale :]
         return ("-" if self.mantissa < 0 else "") + body
@@ -295,7 +343,7 @@ def _ln_int(m: int, s: int) -> int:
     if m <= 0:
         raise DomainError("log of nonpositive value")
     w = s + 10
-    digits_before_point = len(str(m)) - s
+    digits_before_point = _decimal_length(m) - s
     e = digits_before_point - 1  # m/10^s = v * 10^e with v in [1, 10)
     ln_v = _ln_small_int(m, s + e, w)
     total = ln_v + e * _ln10_int(w)

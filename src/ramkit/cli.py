@@ -20,6 +20,7 @@ from . import DomainError, contfrac, pi_engine, ram_signal
 _PI_42 = "3.141592653589793238462643383279502884197169"
 _C6_ROW = (2, 1, -1, -2, -1, 1, 2, 1, -1, -2, -1, 1)
 _TAU_START = (1, -24, 252, -1472, 4830)
+_CF_REFERENCE_CAP = 500  # largest digits reference_constant accepts
 _GEN_SET_5_29 = {
     (3, 0, 0, 10),
     (8, 11, 11, 8),
@@ -229,6 +230,23 @@ def _cmd_cf_eval(args) -> int:
     return 0
 
 
+def _expand_constant(name: str, terms: int):
+    """Certified simple-CF terms of a reference constant. Partial
+    quotients of e grow, so no fixed digits-per-term budget serves every
+    constant: the reference is widened until the expansion is complete."""
+    digits = min(_CF_REFERENCE_CAP, max(30, math.ceil(terms * 1.2) + 15))
+    while True:
+        result = contfrac.simple_cf_expand(contfrac.reference_constant(name, digits), terms)
+        if not result.truncated:
+            return result
+        if digits == _CF_REFERENCE_CAP:
+            raise DomainError(
+                f"{_CF_REFERENCE_CAP} reference digits certify only "
+                f"{len(result.coeffs)} of {terms} terms of {name}"
+            )
+        digits = min(_CF_REFERENCE_CAP, 2 * digits)
+
+
 def _cmd_cf_expand(args) -> int:
     if (args.value is None) == (args.constant is None):
         raise DomainError("pass exactly one of --value or --constant")
@@ -238,11 +256,10 @@ def _cmd_cf_expand(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"cannot parse rational {args.value!r}") from None
         source = args.value
+        result = contfrac.simple_cf_expand(x, args.terms)
     else:
-        digits = max(30, math.ceil(args.terms * 1.2) + 15)
-        x = contfrac.reference_constant(args.constant, digits)
         source = args.constant
-    result = contfrac.simple_cf_expand(x, args.terms)
+        result = _expand_constant(args.constant, args.terms)
     if args.json:
         _emit_json(
             {

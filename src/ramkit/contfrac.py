@@ -1,6 +1,7 @@
 """Generalized and simple continued fractions at fixed-point precision.
 
-Provides convergent-recurrence evaluation with periodic rescaling,
+Provides convergent-recurrence evaluation with periodic binary
+rescaling and forward-difference term generation,
 simple-CF expansion of rationals and rounded decimals, a registry of
 machine-generated conjecture records (pi, e, log 2, Catalan, zeta(3))
 with numeric verification against independently computed references,
@@ -17,14 +18,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate, chain, islice, repeat
 
 from . import DomainError
 from .bigdec import BigDecimal, exp_bd, iroot, ln_bd
 from .pi_engine import guard_digits, pi_chudnovsky
 
 _DEPTH_CAP = 10 ** 6
+# registry verification tests convergence at 50, 100, ..., 819200, 10^6
+_CHECKPOINTS = tuple(50 << j for j in range(15)) + (_DEPTH_CAP,)
 _BITS_PER_DIGIT = math.log2(10)
-_DIGITS_PER_BIT = math.log10(2)
 
 
 def _poly_eval(coeffs, n: int) -> int:
@@ -33,6 +36,31 @@ def _poly_eval(coeffs, n: int) -> int:
     for c in coeffs:
         acc = acc * n + c
     return acc
+
+
+def _poly_terms(coeffs, start: int = 1):
+    """Endless iterator over p(start), p(start+1), ... by forward differences.
+
+    The difference table Delta^i p(start), i = 0..deg, is filled once by
+    Horner; after that each value costs deg exact integer additions, run
+    by chained `accumulate` iterators (the constant top difference feeds
+    the next level down, and so on to p itself).
+    """
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if not coeffs:
+        return repeat(0)
+    deg = len(coeffs) - 1
+    row = [_poly_eval(coeffs, start + i) for i in range(deg + 1)]
+    diffs = []
+    for _ in range(deg + 1):
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    terms = repeat(diffs[deg])
+    for i in range(deg - 1, -1, -1):
+        terms = accumulate(terms, initial=diffs[i])
+    return terms
 
 
 @dataclass(frozen=True)
@@ -88,6 +116,13 @@ class CFSpec:
     def term_b(self, n: int) -> int:
         return _poly_eval(self.b_poly, n) if self.b_poly is not None else self.b_list[n - 1]
 
+    def terms(self):
+        """(a_n, b_n) for n = 1, 2, ...: endless for polynomial sides
+        (forward differences), as long as the lists otherwise."""
+        a = _poly_terms(self.a_poly) if self.a_poly is not None else self.a_list
+        b = _poly_terms(self.b_poly) if self.b_poly is not None else self.b_list
+        return zip(a, b)
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -103,39 +138,40 @@ class EvalResult:
     exact: Fraction | None
 
 
-def _run_recurrence(a0: int, pairs, w: int):
-    """Convergent recurrence h_n = a_n h_{n-1} + b_n h_{n-2} (k alike).
+def _convergents(a0: int, pairs, w: int, stops):
+    """Convergent recurrence h_n = a_n h_{n-1} + b_n h_{n-2} (k alike),
+    run once through the increasing depths in `stops`.
 
-    Both numerator and denominator tracks are floor-divided by a common
-    power of ten whenever they outgrow the working budget; that keeps
-    the ratios to a relative error around 10^-(w+10) per rescale while
-    bounding every integer near w+60 digits.
+    Yields (h_d, k_d, h_{d-1}, k_{d-1}, exact) at each stop d, so a
+    caller can test convergence there and stop early. Whenever h_n or
+    k_n outgrows about w+60 digits, all four tracks are shifted right by
+    a common number of bits down to about w+10 digits; that keeps the
+    ratios to a relative error around 10^-(w+10) per rescale. `exact`
+    stays True while no rescale has happened.
     """
     hp, h = 1, a0
     kp, k = 0, 1
     exact = True
     cap_bits = int((w + 60) * _BITS_PER_DIGIT)
-    for an, bn in pairs:
-        h, hp = an * h + bn * hp, h
-        k, kp = an * k + bn * kp, k
-        m = max(h.bit_length(), k.bit_length(), hp.bit_length(), kp.bit_length())
-        if m > cap_bits:
-            drop = 10 ** (int(m * _DIGITS_PER_BIT) - (w + 10))
-            h //= drop
-            hp //= drop
-            k //= drop
-            kp //= drop
-            exact = False
-    return h, k, hp, kp, exact
+    keep_bits = int((w + 10) * _BITS_PER_DIGIT)
+    done = 0
+    for stop in stops:
+        for an, bn in islice(pairs, stop - done):
+            h, hp = an * h + bn * hp, h
+            k, kp = an * k + bn * kp, k
+            if h.bit_length() > cap_bits or k.bit_length() > cap_bits:
+                shift = max(h.bit_length(), k.bit_length()) - keep_bits
+                h >>= shift
+                hp >>= shift
+                k >>= shift
+                kp >>= shift
+                exact = False
+        done = stop
+        yield h, k, hp, kp, exact
 
 
-def eval_cf(spec: CFSpec, digits: int) -> EvalResult:
-    """Evaluate the depth-truncated fraction to `digits` fractional digits."""
-    if digits < 1:
-        raise DomainError("digits must be positive")
-    w = digits + guard_digits(spec.depth + 2)
-    pairs = ((spec.term_a(n), spec.term_b(n)) for n in range(1, spec.depth + 1))
-    h, k, hp, kp, exact = _run_recurrence(spec.a0, pairs, w)
+def _eval_result(state, depth: int, digits: int) -> EvalResult:
+    h, k, hp, kp, exact = state
     if k == 0:
         raise DomainError("zero denominator in the final convergent")
     value = BigDecimal.from_fraction(Fraction(h, k), digits)
@@ -143,8 +179,22 @@ def eval_cf(spec: CFSpec, digits: int) -> EvalResult:
     if kp != 0:
         diff = abs(Fraction(h, k) - Fraction(hp, kp))
         error = BigDecimal.from_fraction(diff, digits + 10)
-    return EvalResult(value=value, error=error, depth=spec.depth,
+    return EvalResult(value=value, error=error, depth=depth,
                       exact=Fraction(h, k) if exact else None)
+
+
+def eval_cf(spec: CFSpec, digits: int) -> EvalResult:
+    """Evaluate the depth-truncated fraction to `digits` fractional digits.
+
+    One pass of the convergent recurrence at digits + guard_digits(depth
+    + 2) working digits, with binary rescaling; polynomial terms come
+    from forward-difference tables rather than per-step evaluation.
+    """
+    if digits < 1:
+        raise DomainError("digits must be positive")
+    w = digits + guard_digits(spec.depth + 2)
+    state = next(_convergents(spec.a0, spec.terms(), w, (spec.depth,)))
+    return _eval_result(state, spec.depth, digits)
 
 
 @dataclass(frozen=True)
@@ -399,10 +449,14 @@ class VerifyResult:
 def verify_conjecture(rec, digits: int) -> VerifyResult:
     """Numerically test one registry record to `digits` digits.
 
-    The fraction is evaluated on a doubling depth schedule until two
-    successive convergents agree to digits+5 places or the depth cap of
-    10^6 is hit; non-convergence is reported in the result rather than
-    raised. match means |cf - transform(reference)| < 10^-digits.
+    One streaming pass of the convergent recurrence runs toward the
+    depth cap of 10^6 at digits + 15 + guard_digits(cap + 2) working
+    digits and stops at the first checkpoint depth 50*2^j (the last one
+    capped at 10^6) where two successive convergents agree to digits+5
+    places; non-convergence is reported in the result rather than
+    raised. abs_error is the distance of the depth-`depth_used`
+    convergent, and match means abs_error < 10^-digits against
+    transform(reference).
     """
     if isinstance(rec, str):
         registry = load_registry()
@@ -414,16 +468,15 @@ def verify_conjecture(rec, digits: int) -> VerifyResult:
     w = digits + 15
     lhs = rec.lhs_value(w)
     agree = Fraction(1, 10 ** (digits + 5))
-    depth = 50
-    while True:
-        res = eval_cf(rec.cf_spec(depth), w)
+    spec = rec.cf_spec(_DEPTH_CAP)
+    work = w + guard_digits(_DEPTH_CAP + 2)
+    converged = False
+    states = _convergents(spec.a0, spec.terms(), work, _CHECKPOINTS)
+    for depth, state in zip(_CHECKPOINTS, states):
+        res = _eval_result(state, depth, w)
         if res.error is not None and res.error.as_fraction() < agree:
             converged = True
             break
-        if depth >= _DEPTH_CAP:
-            converged = False
-            break
-        depth = min(depth * 2, _DEPTH_CAP)
     err = abs(res.value - lhs)
     return VerifyResult(
         name=rec.name,
@@ -554,14 +607,9 @@ def gamma_ratio_cf_check(x, digits: int, depth: int = 100000) -> GammaCheck:
     ratio = g1.divide(g2, w)
     lhs = (ratio * ratio).at_scale(digits)
     u, v = xf.numerator, xf.denominator
-
-    def pairs():
-        yield (u, 4 * v)
-        for n in range(2, depth + 1):
-            yield (2 * u, v * v * (2 * n - 3) ** 2)
-
-    h, k, _, _, _ = _run_recurrence(0, pairs(), w)
-    if k == 0:
-        raise DomainError("zero denominator in the final convergent")
-    rhs = BigDecimal.from_fraction(Fraction(h, k), digits)
+    # b_n = v^2 (2n-3)^2 = v^2 (4n^2 - 12n + 9) for n >= 2
+    tail = zip(repeat(2 * u), _poly_terms((4 * v * v, -12 * v * v, 9 * v * v), start=2))
+    pairs = chain(((u, 4 * v),), tail)
+    state = next(_convergents(0, pairs, w, (depth,)))
+    rhs = _eval_result(state, depth, digits).value
     return GammaCheck(lhs=lhs, rhs=rhs, abs_error=abs(lhs - rhs), depth=depth)

@@ -1,12 +1,24 @@
 """Fixed-point decimal arithmetic: rounding, parsing, sqrt, exp, ln."""
 
+import decimal
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramkit import DomainError
-from ramkit.bigdec import BigDecimal, exp_bd, iroot, isqrt_scaled, ln_bd, round_half_even
+from ramkit.bigdec import (
+    BigDecimal,
+    _decimal_length,
+    exp_bd,
+    iroot,
+    isqrt_scaled,
+    ln_bd,
+    round_half_even,
+)
 
 SQRT2_50 = "1.41421356237309504880168872420969807856967187537694"
 E_30 = "2.718281828459045235360287471353"
@@ -96,3 +108,44 @@ def test_exp_scale_counts_fraction_digits():
 def test_negative_scale_rejected():
     with pytest.raises(DomainError):
         BigDecimal(1, -1)
+
+
+def _decimal_text(mantissa: int, scale: int) -> str:
+    """Reference rendering through the stdlib decimal module, which has
+    no int/str digit cap."""
+    body = str(decimal.Decimal(abs(mantissa))).rjust(scale + 1, "0")
+    if scale:
+        body = body[:-scale] + "." + body[-scale:]
+    return ("-" if mantissa < 0 else "") + body
+
+
+@given(
+    digits=st.integers(4300, 20000),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.integers(0, 25000),
+    negative=st.booleans(),
+)
+@settings(max_examples=30)
+def test_str_parse_round_trip_past_digit_cap(digits, seed, scale, negative):
+    rng = random.Random(seed)
+    mantissa = rng.randrange(10 ** (digits - 1), 10**digits)
+    if negative:
+        mantissa = -mantissa
+    x = BigDecimal(mantissa, scale)
+    text = str(x)
+    assert text == _decimal_text(mantissa, scale)
+    back = BigDecimal.parse(text)
+    assert (back.mantissa, back.scale) == (mantissa, scale)
+
+
+def test_ln_of_argument_past_digit_cap():
+    # ln(10^5000) = 5000 ln 10
+    big = BigDecimal.parse("1" + "0" * 5000)
+    ln10 = ln_bd(BigDecimal.from_int(10), 30).as_fraction()
+    assert abs(ln_bd(big, 20).as_fraction() - 5000 * ln10) < Fraction(1, 10**19)
+
+
+def test_decimal_length_at_powers_of_ten():
+    for k in (1, 2, 17, 300, 4299, 4300, 4301, 10**4):
+        assert _decimal_length(10**k - 1) == k
+        assert _decimal_length(10**k) == k + 1

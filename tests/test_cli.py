@@ -5,7 +5,9 @@ import json
 import pytest
 
 from ramkit import ram_signal
+from ramkit.bigdec import BigDecimal
 from ramkit.cli import run
+from ramkit.pi_engine import pi_machin
 
 PI_42 = "3.141592653589793238462643383279502884197169"
 
@@ -331,3 +333,32 @@ def test_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import ramkit.cli, sys; assert 'numpy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_pi_past_int_str_digit_cap(capsys):
+    # 4400 digits is past Python's default 4300-digit int/str limit
+    for method in ("chudnovsky", "machin"):
+        assert run(["pi", "--method", method, "--digits", "4400"]) == 0
+        out, err = out_of(capsys)
+        assert err == ""
+        assert len(out) == 4403 and out.startswith("3.14159")
+        assert BigDecimal.parse(out).mantissa == pi_machin(4400).mantissa
+
+
+def test_cf_expand_e_grows_reference_precision(capsys):
+    # e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]; the starting budget of 1.2
+    # digits per term (375 digits) certifies only 263 of 300 terms
+    assert run(["cf", "expand", "--constant", "e", "--terms", "300", "--json"]) == 0
+    out, _ = out_of(capsys)
+    payload = json.loads(out)
+    want = [2] + [2 * (i + 1) // 3 if i % 3 == 2 else 1 for i in range(1, 300)]
+    assert payload["coefficients"] == want
+    assert payload["truncated"] is False
+
+
+def test_cf_expand_past_reference_cap_is_an_error(capsys):
+    # 500 reference digits certify 335 terms of e
+    assert run(["cf", "expand", "--constant", "e", "--terms", "400"]) == 1
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

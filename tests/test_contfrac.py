@@ -1,10 +1,13 @@
 """Continued fractions: evaluation, expansion, registry, special values."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramkit import DomainError
 from ramkit.bigdec import BigDecimal, exp_bd
@@ -22,7 +25,7 @@ from ramkit.contfrac import (
     verify_conjecture,
     zeta3_via_binomial,
 )
-from ramkit.pi_engine import pi_chudnovsky
+from ramkit.pi_engine import guard_digits, pi_chudnovsky
 
 REFERENCE_20 = {
     "pi": "3.14159265358979323846",
@@ -279,3 +282,120 @@ def test_registry_error_monotone_in_depth():
             got = eval_cf(rec.cf_spec(depth), 35).value.as_fraction()
             errs.append(abs(got - target))
         assert all(b <= a for a, b in zip(errs, errs[1:])), (name, errs)
+
+
+# -- the streaming kernel against the restart-per-rung ladder ---------------
+
+
+def _decimal_rescale_recurrence(a0, pairs, w):
+    """The convergent recurrence with floor division by a fresh power of
+    ten whenever a track outgrows w+60 digits (reference form)."""
+    hp, h, kp, k = 1, a0, 0, 1
+    cap_bits = int((w + 60) * math.log2(10))
+    for an, bn in pairs:
+        h, hp = an * h + bn * hp, h
+        k, kp = an * k + bn * kp, k
+        m = max(h.bit_length(), k.bit_length(), hp.bit_length(), kp.bit_length())
+        if m > cap_bits:
+            drop = 10 ** (int(m * math.log10(2)) - (w + 10))
+            h, hp, k, kp = h // drop, hp // drop, k // drop, kp // drop
+    return h, k, hp, kp
+
+
+def _ladder_verify(rec, digits):
+    """Depth ladder 50*2^j (capped at 10^6) that restarts the recurrence
+    at n = 1 on every rung, evaluating terms by Horner."""
+    w = digits + 15
+    lhs = rec.lhs_value(w)
+    depth = 50
+    while True:
+        spec = rec.cf_spec(depth)
+        pairs = ((spec.term_a(n), spec.term_b(n)) for n in range(1, depth + 1))
+        h, k, hp, kp = _decimal_rescale_recurrence(rec.a0, pairs, w + guard_digits(depth + 2))
+        value = BigDecimal.from_fraction(Fraction(h, k), w)
+        step = BigDecimal.from_fraction(abs(Fraction(h, k) - Fraction(hp, kp)), w + 10)
+        converged = step.as_fraction() < Fraction(1, 10 ** (digits + 5))
+        if converged or depth >= 10**6:
+            break
+        depth = min(2 * depth, 10**6)
+    err = abs(value - lhs).as_fraction()
+    return depth, converged, err < Fraction(1, 10**digits), err
+
+
+@pytest.mark.parametrize(
+    "name,digits",
+    [(name, d) for name in ("pi", "e", "log2", "catalan") for d in (10, 20, 45, 80, 120)]
+    + [("zeta3", d) for d in (6, 7, 8, 9, 10, 11)],
+)
+def test_verify_matches_restarting_ladder(name, digits):
+    rec = load_registry()[name]
+    res = verify_conjecture(rec, digits)
+    depth, converged, match, err = _ladder_verify(rec, digits)
+    assert (res.depth_used, res.converged, res.match) == (depth, converged, match)
+    assert abs(res.abs_error.as_fraction() - err) < Fraction(1, 10 ** (digits + 14))
+
+
+def test_verify_zeta3_abs_error_against_euler_closed_form():
+    # the zeta3 record's depth-n convergent is exactly 1/sum_{k<=n+1} k^-3
+    mpmath = pytest.importorskip("mpmath")
+    for digits in (6, 9, 11, 12):
+        res = verify_conjecture("zeta3", digits)
+        with mpmath.workdps(digits + 40):
+            conv = 1 / (mpmath.zeta(3) - mpmath.zeta(3, res.depth_used + 2))
+            true = abs(conv - 1 / mpmath.zeta(3))
+            got = mpmath.mpf(res.abs_error.mantissa) / mpmath.mpf(10) ** res.abs_error.scale
+            assert abs(got - true) < mpmath.mpf(10) ** -(digits + 14), digits
+
+
+def _positive_poly(max_degree):
+    # nonnegative coefficients with a positive constant term, so every
+    # term is positive for n >= 1
+    return st.tuples(
+        st.lists(st.integers(0, 9), max_size=max_degree), st.integers(1, 9)
+    ).map(lambda t: tuple(t[0]) + (t[1],))
+
+
+@given(
+    a0=st.integers(0, 9),
+    a_poly=_positive_poly(3),
+    b_poly=_positive_poly(4),
+    depth=st.integers(1, 5000),
+    digits=st.integers(10, 60),
+)
+@settings(max_examples=25)
+def test_eval_cf_matches_mpmath_backward_evaluation(a0, a_poly, b_poly, depth, digits):
+    mpmath = pytest.importorskip("mpmath")
+    spec = CFSpec(a0=a0, depth=depth, a_poly=a_poly, b_poly=b_poly)
+    res = eval_cf(spec, digits)
+    with mpmath.workdps(digits + 30):
+        t = mpmath.mpf(spec.term_a(depth))
+        for n in range(depth - 1, 0, -1):
+            t = spec.term_a(n) + spec.term_b(n + 1) / t
+        ref = a0 + spec.term_b(1) / t
+        got = mpmath.mpf(res.value.mantissa) / mpmath.mpf(10) ** res.value.scale
+        assert abs(got - ref) <= mpmath.mpf(10) ** -digits
+
+
+@given(
+    a0=st.integers(-9, 9),
+    a_poly=_positive_poly(2),
+    b_poly=_positive_poly(2),
+    depth=st.integers(0, 12),
+    digits=st.integers(1, 40),
+)
+@settings(max_examples=60)
+def test_eval_cf_exact_without_rescale(a0, a_poly, b_poly, depth, digits):
+    # terms stay below 10^4, so twelve steps never reach the rescale cap
+    spec = CFSpec(a0=a0, depth=depth, a_poly=a_poly, b_poly=b_poly)
+    tail = Fraction(0)
+    for n in range(depth, 0, -1):
+        tail = spec.term_b(n) / (spec.term_a(n) + tail)
+    res = eval_cf(spec, digits)
+    assert res.exact is not None
+    assert res.exact == a0 + tail
+    assert res.value == BigDecimal.from_fraction(a0 + tail, digits)
+
+
+def test_eval_cf_rescaled_result_is_not_exact():
+    spec = load_registry()["zeta3"].cf_spec(2000)
+    assert eval_cf(spec, 20).exact is None
