@@ -139,9 +139,10 @@ class BigDecimal:
             intpart, fracpart = text.split(".", 1)
         else:
             intpart, fracpart = text, ""
-        if not (intpart + fracpart).isdigit():
+        digits = intpart + fracpart
+        if not (digits.isascii() and digits.isdigit()):
             raise DomainError(f"not a decimal literal: {text!r}")
-        mantissa = _str_to_int(intpart + fracpart)
+        mantissa = _str_to_int(digits)
         return cls(sign * mantissa, len(fracpart))
 
     # -- accessors ---------------------------------------------------
@@ -161,25 +162,18 @@ class BigDecimal:
 
     # -- comparisons (numeric, scale-independent) ----------------------
 
-    def _cmp_key(self, other: "BigDecimal") -> tuple[int, int]:
-        s = max(self.scale, other.scale)
-        return (
-            self.mantissa * 10 ** (s - self.scale),
-            other.mantissa * 10 ** (s - other.scale),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BigDecimal):
             return NotImplemented
-        a, b = self._cmp_key(other)
+        a, b, _ = self._aligned(other)
         return a == b
 
     def __lt__(self, other: "BigDecimal") -> bool:
-        a, b = self._cmp_key(other)
+        a, b, _ = self._aligned(other)
         return a < b
 
     def __le__(self, other: "BigDecimal") -> bool:
-        a, b = self._cmp_key(other)
+        a, b, _ = self._aligned(other)
         return a <= b
 
     def __gt__(self, other: "BigDecimal") -> bool:

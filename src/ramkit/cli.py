@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import DomainError, contfrac, pi_engine, ram_signal
+from .bigdec import BigDecimal
 
 # lps_graphs (and with it numpy) is imported inside the graph commands
 # and graph self-checks only, so the other commands start without it.
@@ -251,25 +252,29 @@ def _cmd_cf_expand(args) -> int:
     if (args.value is None) == (args.constant is None):
         raise DomainError("pass exactly one of --value or --constant")
     if args.value is not None:
+        # each side goes through BigDecimal.parse, which, unlike
+        # Fraction(text), has no int/str digit cap
+        num, slash, den = args.value.partition("/")
         try:
-            x = Fraction(args.value)
-        except (ValueError, ZeroDivisionError):
+            x = BigDecimal.parse(num).as_fraction()
+            if slash:
+                x /= BigDecimal.parse(den).as_fraction()
+        except (DomainError, ZeroDivisionError):
             raise DomainError(f"cannot parse rational {args.value!r}") from None
         source = args.value
         result = contfrac.simple_cf_expand(x, args.terms)
     else:
         source = args.constant
         result = _expand_constant(args.constant, args.terms)
+    # str() and json.dumps stop at 4300-digit ints; BigDecimal's text does not
+    coeffs = [str(BigDecimal.from_int(c)) for c in result.coeffs]
     if args.json:
-        _emit_json(
-            {
-                "input": source,
-                "coefficients": list(result.coeffs),
-                "truncated": result.truncated,
-            }
+        print(
+            f'{{"input": {json.dumps(source)}, "coefficients": [{", ".join(coeffs)}], '
+            f'"truncated": {json.dumps(result.truncated)}}}'
         )
     else:
-        print(" ".join(str(c) for c in result.coeffs))
+        print(" ".join(coeffs))
     return 0
 
 
@@ -494,7 +499,7 @@ def _check_registry_pi() -> str:
 
 
 def _check_rogers_ramanujan() -> str:
-    from .bigdec import BigDecimal, exp_bd
+    from .bigdec import exp_bd
 
     digits = 25
     w = digits + 10

@@ -14,7 +14,7 @@ scale of the returned BigDecimal.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -69,59 +69,33 @@ class CFSpec:
 
         a0 + b1/(a1 + b2/(a2 + ...))
 
-    truncated at `depth`. Each side comes either from an integer
-    polynomial in n (coefficients highest degree first, degree <= 6)
-    or from an explicit term list covering n = 1..depth.
+    truncated at `depth`. a_n and b_n are integer polynomials in n,
+    coefficients highest degree first, degree <= 6.
     """
 
     a0: int
     depth: int
-    a_poly: tuple | None = None
-    b_poly: tuple | None = None
-    a_list: tuple | None = None
-    b_list: tuple | None = None
+    a_poly: tuple
+    b_poly: tuple
 
     def __post_init__(self):
         if self.depth < 0:
             raise DomainError("depth must be nonnegative")
-        for poly, terms, label in (
-            (self.a_poly, self.a_list, "a"),
-            (self.b_poly, self.b_list, "b"),
-        ):
-            if (poly is None) == (terms is None):
-                raise DomainError(f"exactly one of {label}_poly/{label}_list required")
-            if poly is not None and len(poly) > 7:
+        for poly, label in ((self.a_poly, "a"), (self.b_poly, "b")):
+            if len(poly) > 7:
                 raise DomainError(f"{label}_poly degree exceeds 6")
-            source = poly if poly is not None else terms
-            if not all(isinstance(c, int) for c in source):
+            if not all(isinstance(c, int) for c in poly):
                 raise DomainError(f"{label} terms must be integers")
-            if terms is not None and len(terms) < self.depth:
-                raise DomainError(f"{label}_list shorter than depth")
-
-    @classmethod
-    def simple(cls, coeffs) -> "CFSpec":
-        """Simple CF [a0; a1, a2, ...]: all partial numerators 1."""
-        coeffs = tuple(int(c) for c in coeffs)
-        if not coeffs:
-            raise DomainError("empty coefficient list")
-        n = len(coeffs) - 1
-        return cls(a0=coeffs[0], depth=n, a_list=coeffs[1:], b_list=(1,) * n)
-
-    def with_depth(self, depth: int) -> "CFSpec":
-        return replace(self, depth=depth)
 
     def term_a(self, n: int) -> int:
-        return _poly_eval(self.a_poly, n) if self.a_poly is not None else self.a_list[n - 1]
+        return _poly_eval(self.a_poly, n)
 
     def term_b(self, n: int) -> int:
-        return _poly_eval(self.b_poly, n) if self.b_poly is not None else self.b_list[n - 1]
+        return _poly_eval(self.b_poly, n)
 
     def terms(self):
-        """(a_n, b_n) for n = 1, 2, ...: endless for polynomial sides
-        (forward differences), as long as the lists otherwise."""
-        a = _poly_terms(self.a_poly) if self.a_poly is not None else self.a_list
-        b = _poly_terms(self.b_poly) if self.b_poly is not None else self.b_list
-        return zip(a, b)
+        """Endless (a_n, b_n) for n = 1, 2, ... by forward differences."""
+        return zip(_poly_terms(self.a_poly), _poly_terms(self.b_poly))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ The build runs on integer arrays, not one Python object per element:
   dense and sparse matrix assembly all read that pair, with breadth-first
   search advancing one whole frontier per numpy step.
 
-ProjMatrix is the per-element reference API: generating_set returns
-ProjMatrix objects, and the tests check the array build against its
-products.
+cayley_graph takes only that array form. ProjMatrix is the per-element
+reference API: generating_set returns ProjMatrix objects, and the tests
+check the array build against their products.
 """
 
 import itertools
@@ -328,17 +328,25 @@ def enumerate_group(q: int, kind: str) -> np.ndarray:
     return np.concatenate([zero, rest])
 
 
-def _projective_products(elements: np.ndarray, gens) -> np.ndarray:
-    """(n, k) indices of element i times generator j, for canonical
-    (n, 4) entry rows and ProjMatrix generators."""
+def cayley_graph(elements: np.ndarray, gens) -> Graph:
+    """Cayley graph: one edge (g, g*s) per element g and generator s, as
+    an (n, k) neighbor array with sorted rows.
+
+    elements is the (n, 4) array of canonical entry rows in lexicographic
+    order that enumerate_group returns, and gens are ProjMatrix objects
+    of one group. Every product is canonicalized row-wise and located by
+    searchsorted on the base-q codes. The generator set must be symmetric
+    (closed under inverse), which is what makes the adjacency an
+    undirected multigraph; an asymmetric one raises DomainError.
+    """
     if not gens:
         raise DomainError("empty generating set")
     q, kind = gens[0].q, gens[0].kind
     if any((s.q, s.kind) != (q, kind) for s in gens):
         raise DomainError("mixed group multiplication")
+    elements = np.asarray(elements, dtype=np.int64)
     if elements.ndim != 2 or elements.shape[1] != 4 or len(elements) == 0:
         raise DomainError("elements must be a nonempty (n, 4) entry array")
-    elements = elements.astype(np.int64)
     codes = _codes(elements, q)
     if np.any(codes[1:] <= codes[:-1]):
         raise DomainError("group elements must be distinct and in lexicographic order")
@@ -360,41 +368,9 @@ def _projective_products(elements: np.ndarray, gens) -> np.ndarray:
             axis=1,
         ) % q
         cols[:, j] = find(_codes(_canonical_rows(prod, q, kind, inv), q), "products leave the element list")
-    return cols
-
-
-def _hashed_products(elements: list, gens, multiply) -> np.ndarray:
-    """(n, k) indices of multiply(element i, generator j) by dict lookup,
-    for any hashable element type."""
-    index = {g: i for i, g in enumerate(elements)}
-    if len(index) != len(elements):
-        raise DomainError("duplicate group elements")
-    if any(s not in index for s in gens):
-        raise DomainError("generator not in group")
-    try:
-        rows = [[index[multiply(g, s)] for s in gens] for g in elements]
-    except KeyError:
-        raise DomainError("products leave the element list") from None
-    return np.array(rows, dtype=np.int32).reshape(len(elements), len(gens))
-
-
-def cayley_graph(elements, gens, multiply=None) -> Graph:
-    """Cayley graph: one edge (g, g*s) per element g and generator s, as
-    an (n, k) neighbor array with sorted rows.
-
-    Without multiply, elements is the (n, 4) array of canonical entry
-    rows in lexicographic order that enumerate_group returns, and gens
-    are ProjMatrix objects. With a multiply callable, elements may be any
-    hashable objects. The generator set must be symmetric (closed under
-    inverse), which is what makes the adjacency an undirected multigraph.
-    """
-    if multiply is None:
-        cols = _projective_products(np.asarray(elements), gens)
-    else:
-        cols = _hashed_products(list(elements), gens, multiply)
     cols.sort(axis=1)
     graph = Graph(len(cols), cols)
-    _check_symmetric(*graph.csr())  # fails on non-symmetric generator sets
+    _check_symmetric(*graph.csr())
     return graph
 
 

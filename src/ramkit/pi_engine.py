@@ -157,20 +157,11 @@ def chudnovsky_step(state: ChudnovskyState) -> ChudnovskyState:
     )
 
 
-def _chudnovsky_partial_scaled(terms: int, s: int) -> int:
-    """pi * 10^s from the first `terms` recurrence terms."""
-    unit = 10**s
-    state = CHUDNOVSKY_INITIAL
-    total = 0
-    for _ in range(terms):
-        total += state.M * state.L * unit // state.X
-        state = chudnovsky_step(state)
-    c = 426880 * math.isqrt(10005 * 10 ** (2 * s))
-    return c * unit // total
-
-
 def _chudnovsky_binsplit(terms: int, s: int) -> int:
-    """Same sum by binary splitting; must agree with the recurrence."""
+    """pi * 10^s from the first `terms` series terms, summed exactly by
+    binary splitting (Haible and Papanikolaou): each half of the index
+    range returns the products P, Q and the numerator T of its partial
+    sum over Q, and halves combine as (P1 P2, Q1 Q2, Q2 T1 + P1 T2)."""
 
     def split(a: int, b: int) -> tuple[int, int, int]:
         if b - a == 1:
@@ -191,38 +182,24 @@ def _chudnovsky_binsplit(terms: int, s: int) -> int:
     return c * q // t
 
 
-_BINSPLIT_THRESHOLD = 10**4
-
-
 def pi_chudnovsky(digits: int) -> BigDecimal:
-    """pi to the requested digits; ceil(digits/14)+1 recurrence terms.
+    """pi to the requested digits from ceil(digits/14)+1 series terms,
+    summed by binary splitting at every size.
 
-    Above 10^4 digits the identical sum is evaluated by binary
-    splitting, which is an internal speedup only — both forms are kept
-    in agreement by the test suite.
+    ChudnovskyState and chudnovsky_step keep the term-by-term recurrence
+    as the integrality oracle that the selftest and the tests check
+    binary splitting against.
     """
     if digits < 1:
         raise DomainError("digits must be >= 1")
     terms = -(-digits // 14) + 1
     s = digits + guard_digits(terms)
-    if digits > _BINSPLIT_THRESHOLD:
-        scaled = _chudnovsky_binsplit(terms, s)
-    else:
-        scaled = _chudnovsky_partial_scaled(terms, s)
-    return _wrap(scaled, s, digits)
+    return _wrap(_chudnovsky_binsplit(terms, s), s, digits)
 
 
 # -- convergence reporter -------------------------------------------------
 
 _REFERENCE_DIGITS = 2000
-_reference_cache: dict[int, int] = {}
-
-
-def _reference_scaled(s: int) -> int:
-    if s not in _reference_cache:
-        terms = -(-s // 14) + 2
-        _reference_cache[s] = _chudnovsky_partial_scaled(terms, s)
-    return _reference_cache[s]
 
 
 def _correct_digits(approx: int, reference: int, s: int) -> float:
@@ -242,12 +219,12 @@ def digits_per_term(method: str, terms: int) -> float:
         raise DomainError("digits_per_term needs terms >= 2")
     partial = {
         "ramanujan": _ramanujan_partial_scaled,
-        "chudnovsky": _chudnovsky_partial_scaled,
+        "chudnovsky": _chudnovsky_binsplit,
     }.get(method)
     if partial is None:
         raise DomainError(f"unknown method {method!r}")
     s = _REFERENCE_DIGITS
-    ref = _reference_scaled(s)
+    ref = _chudnovsky_binsplit(-(-s // 14) + 2, s)
     d_many = _correct_digits(partial(terms, s), ref, s)
     d_one = _correct_digits(partial(1, s), ref, s)
     return (d_many - d_one) / (terms - 1)

@@ -203,31 +203,25 @@ def rf_partial_sum(func: str, n: int, Q: int) -> float:
 def tau_coefficients(n_max: int) -> list[int]:
     """tau(1..n_max): coefficients of q prod_k (1-q^k)^24, exact integers.
 
-    prod (1-q^k) is expanded once by the pentagonal-number recurrence
-    (sparse), then applied 24 times to a dense coefficient array.
+    prod (1-q^k)^24 is the 8th power of Jacobi's eta^3 series
+    prod (1-q^k)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2), which is sparse
+    and applied 8 times to a dense coefficient array.
     """
     if not 1 <= n_max <= 5000:
         raise DomainError("n_max must lie in 1..5000")
     m = n_max  # needed degrees 0..m-1 of prod (1-q^k)^24
-    pent = [(0, 1)]
-    k = 1
-    while k * (3 * k - 1) // 2 < m:
-        sign = -1 if k % 2 else 1
-        for d in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if d < m:
-                pent.append((d, sign))
+    jacobi = []
+    k = 0
+    while k * (k + 1) // 2 < m:
+        jacobi.append((k * (k + 1) // 2, -(2 * k + 1) if k & 1 else 2 * k + 1))
         k += 1
     arr = [0] * m
     arr[0] = 1
-    for _ in range(24):
+    for _ in range(8):
         out = [0] * m
-        for off, sign in pent:
-            if sign > 0:
-                for i in range(m - off):
-                    out[i + off] += arr[i]
-            else:
-                for i in range(m - off):
-                    out[i + off] -= arr[i]
+        for off, c in jacobi:
+            for i in range(m - off):
+                out[i + off] += c * arr[i]
         arr = out
     return arr  # arr[i] is the q^(i+1) coefficient, i.e. tau(i+1)
 

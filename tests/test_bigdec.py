@@ -38,8 +38,9 @@ def test_parse_and_str_round_trip():
     for text in ("0", "3.14", "-0.001", "12345.000067", "2"):
         assert str(BigDecimal.parse(text)) == text
     assert BigDecimal.parse("+4.5").as_fraction() == Fraction(9, 2)
-    with pytest.raises(DomainError):
-        BigDecimal.parse("1e5")
+    for text in ("1e5", "1²", "٣.5", "", ".", "1_000"):  # ASCII digits only
+        with pytest.raises(DomainError):
+            BigDecimal.parse(text)
 
 
 def test_from_fraction_rounds_half_even():

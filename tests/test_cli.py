@@ -1,8 +1,12 @@
 """End-to-end checks of the command-line interface via run(argv)."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramkit import ram_signal
 from ramkit.bigdec import BigDecimal
@@ -90,6 +94,42 @@ def test_cf_expand_rational(capsys):
     assert run(["cf", "expand", "--value", "5000/127", "--terms", "10"]) == 0
     out, _ = out_of(capsys)
     assert out == "39 2 1 2 2 1 4\n"
+    # the documented forms p/q, -p/q, integers and decimals; "--value=" keeps
+    # argparse from reading a leading '-' as an option
+    for text, coeffs in (("-5000/127", "-40 1 1 1 2 2 1 4"), ("-17", "-17"), ("2.5", "2 2")):
+        assert run(["cf", "expand", f"--value={text}"]) == 0
+        assert out_of(capsys) == (coeffs + "\n", "")
+    for text in ("1e3", "1_000", "\u0663/4", "3/0", "1/2/3", "3/"):
+        assert run(["cf", "expand", f"--value={text}"]) == 1
+        assert out_of(capsys) == ("", f"error: cannot parse rational {text!r}\n")
+
+
+def test_cf_expand_value_past_int_str_digit_cap(capsys):
+    # 5000 digits is past Python's default 4300-digit int/str limit;
+    # (10^5000 - 1)/9 = 7 * quotient + 4, and 7/4 = [1; 1, 3]
+    ones = "1" * 5000
+    quotient = "15873" + "015873" * 832 + "01"
+    assert run(["cf", "expand", "--value", ones + "/7"]) == 0
+    assert out_of(capsys) == (quotient + " 1 1 3\n", "")
+    assert run(["cf", "expand", "--value", ones + "/7", "--json"]) == 0
+    out, _ = out_of(capsys)
+    assert out == (f'{{"input": "{ones}/7", "coefficients": [{quotient}, 1, 1, 3], '
+                   '"truncated": false}\n')
+
+
+_LONG_DIGITS = st.tuples(
+    st.text("0123456789", min_size=1, max_size=8),
+    st.integers(4301, 6000),
+    st.sampled_from(["", "/7", "/0", ".5", "/x", "/" + "3" * 4400]),
+).map(lambda t: (t[0] * 6000)[: t[1]] + t[2])
+
+
+@given(st.one_of(st.text(), st.text("0123456789\u0663\u00b2/.-+ e_", max_size=12), _LONG_DIGITS))
+@settings(max_examples=200)
+def test_cf_expand_value_never_raises(text):
+    # any text ends in an answer (0) or one error line (1), never a traceback
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert run(["cf", "expand", f"--value={text}"]) in (0, 1)
 
 
 def test_cf_expand_constant_json(capsys):

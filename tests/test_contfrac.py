@@ -45,22 +45,21 @@ def fold_back(coeffs) -> Fraction:
 
 def test_cfspec_validation():
     with pytest.raises(DomainError):
-        CFSpec(a0=1, depth=5)  # no term source
+        CFSpec(a0=1, depth=-1, a_poly=(1,), b_poly=(1,))
     with pytest.raises(DomainError):
-        CFSpec(a0=1, depth=5, a_poly=(1,), a_list=(1,) * 5, b_poly=(1,))
+        CFSpec(a0=1, depth=5, a_poly=(1,) * 8, b_poly=(1,))  # degree 7
     with pytest.raises(DomainError):
-        CFSpec(a0=1, depth=5, a_poly=(1,), b_list=(1,) * 3)  # list too short
-    spec = CFSpec(a0=1, depth=3, a_poly=(1,), b_poly=(1,))
-    assert spec.term_a(2) == 1 and spec.term_b(3) == 1
+        CFSpec(a0=1, depth=5, a_poly=(1,), b_poly=(0.5,))
+    spec = CFSpec(a0=1, depth=3, a_poly=(1, 1), b_poly=(1,))
+    assert spec.term_a(2) == 3 and spec.term_b(3) == 1
 
 
 def test_eval_rational_cf_exact():
-    # [39; 2, 1, 2, 2, 1, 4] folds back to 5000/127
-    spec = CFSpec(
-        a0=39, depth=6, a_list=(2, 1, 2, 2, 1, 4), b_list=(1,) * 6
-    )
+    # a_n = n + 1, b_n = 1: the simple fraction [39; 2, 3, 4, 5, 6, 7]
+    spec = CFSpec(a0=39, depth=6, a_poly=(1, 1), b_poly=(1,))
     result = eval_cf(spec, 20)
-    assert result.exact == Fraction(5000, 127)
+    assert result.exact == fold_back([39, 2, 3, 4, 5, 6, 7])
+    assert result.value == BigDecimal.from_fraction(result.exact, 20)
 
 
 def test_eval_golden_ratio():

@@ -157,17 +157,17 @@ def test_group_orders():
     assert len(enumerate_group(29, PSL)) == 12180
 
 
-def test_cayley_graph_custom_multiply():
-    # additive group Z/6 with inverse-closed generators {1, 5} is C_6
-    g = cayley_graph(list(range(6)), [1, 5], multiply=lambda a, b: (a + b) % 6)
-    assert g.n == 6 and g.degree_set() == {2}
+def test_cayley_c6_as_list_graph():
+    # the Cayley graph of Z/6 with inverse-closed generators {1, 5} is C_6
+    g = Graph(n=6, adjacency=[sorted((i + s) % 6 for s in (1, 5)) for i in range(6)])
+    assert g.degree_set() == {2} and g.edge_count() == 6 and is_connected(g)
     assert expansion_constant(g) == Fraction(2, 3)
 
 
 def test_cayley_graph_rejects_asymmetric_generators():
-    # {1} alone is not inverse-closed in Z/3: the edge relation is directed
-    with pytest.raises(DomainError):
-        cayley_graph([0, 1, 2], [1], multiply=lambda a, b: (a + b) % 3)
+    # one PSL generator without its inverse: the edge relation is directed
+    with pytest.raises(DomainError, match="asymmetric adjacency"):
+        cayley_graph(enumerate_group(17, PSL), generating_set(13, 17)[:1])
 
 
 def test_cayley_graph_rejects_foreign_generator():

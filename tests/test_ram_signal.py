@@ -114,6 +114,31 @@ def test_tau_initial_coefficients():
     assert taus[3] == taus[1] ** 2 - 2**11 * taus[0]
 
 
+def pentagonal_tau(n_max: int) -> list[int]:
+    """Oracle: tau(1..n_max) from Euler's pentagonal series for
+    prod (1-q^k), multiplied into a dense array 24 times."""
+    pent = [(0, 1)]
+    k = 1
+    while k * (3 * k - 1) // 2 < n_max:
+        sign = -1 if k % 2 else 1
+        pent += [(d, sign) for d in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if d < n_max]
+        k += 1
+    arr = [1] + [0] * (n_max - 1)
+    for _ in range(24):
+        out = [0] * n_max
+        for off, sign in pent:
+            for i in range(n_max - off):
+                out[i + off] += sign * arr[i]
+        arr = out
+    return arr
+
+
+def test_tau_matches_pentagonal_product():
+    for n in range(1, 61):
+        assert tau_coefficients(n) == pentagonal_tau(n), n
+    assert tau_coefficients(2000) == pentagonal_tau(2000)
+
+
 def test_tau_multiplicative():
     taus = tau_coefficients(4900)
     for m in range(1, 71):
