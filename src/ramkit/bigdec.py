@@ -306,9 +306,6 @@ def _atanh_int(u: int, w: int) -> int:
     return total
 
 
-_LN10_CACHE: dict[int, int] = {}
-
-
 def _ln_small_int(m: int, s: int, w: int) -> int:
     """ln(m/10^s) * 10^w for arguments in roughly [0.1, 16]."""
     if m <= 0:
@@ -326,12 +323,6 @@ def _ln_small_int(m: int, s: int, w: int) -> int:
     return round_half_even(ln_v << pulls, 10 ** (g - w))
 
 
-def _ln10_int(w: int) -> int:
-    if w not in _LN10_CACHE:
-        _LN10_CACHE[w] = _ln_small_int(10, 0, w)
-    return _LN10_CACHE[w]
-
-
 def _ln_int(m: int, s: int) -> int:
     """ln(m/10^s) * 10^s for any positive argument."""
     if m <= 0:
@@ -339,8 +330,9 @@ def _ln_int(m: int, s: int) -> int:
     w = s + 10
     digits_before_point = _decimal_length(m) - s
     e = digits_before_point - 1  # m/10^s = v * 10^e with v in [1, 10)
-    ln_v = _ln_small_int(m, s + e, w)
-    total = ln_v + e * _ln10_int(w)
+    total = _ln_small_int(m, s + e, w)
+    if e:
+        total += e * _ln_small_int(10, 0, w)
     return round_half_even(total, 10 ** (w - s))
 
 

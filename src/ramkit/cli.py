@@ -194,6 +194,31 @@ def _cmd_graph_check(args) -> int:
     return 0
 
 
+def _cmd_graph_verify(args) -> int:
+    from . import lps_graphs
+
+    report = lps_graphs.lps_spectrum(args.p, args.q)
+    branch = lps_graphs.generating_set(args.p, args.q)[0].kind
+    n = lps_graphs.group_order(args.q, branch)
+    if args.json:
+        payload = _graph_metadata(report, args.p, args.q, branch, n)
+        payload.update(
+            lambda_second=report.lambda2,
+            bound_alt=report.bound_alt,
+            bipartite=report.bipartite,
+            connected=True,  # lps_spectrum raised otherwise
+        )
+        _emit_json(payload)
+    else:
+        print(
+            f"X^({args.p},{args.q}) branch={branch} vertices={n} "
+            f"degree={report.k} lambda={report.lambda_nontrivial!r} "
+            f"bound={report.bound!r} bipartite={report.bipartite} "
+            f"ramanujan={report.is_ramanujan}"
+        )
+    return 0
+
+
 # ---------------------------------------------------------------- cf
 
 
@@ -627,6 +652,19 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--degree", type=int, required=True)
     gc.add_argument("--json", action="store_true")
     gc.set_defaults(func=_cmd_graph_check)
+    gv = gsub.add_parser(
+        "verify",
+        help="verify the spectrum of X^(p,q) without building it",
+        description="Solve the coset blocks of the unipotent subgroup for the "
+        "largest eigenvalues of X^(p,q); connectivity and bipartiteness are "
+        "read from the multiplicities of k and -k. A computed eigenvalue is "
+        "an eigenvalue, but the solver does not prove that no larger one "
+        "was missed.",
+    )
+    gv.add_argument("--p", type=int, required=True)
+    gv.add_argument("--q", type=int, required=True)
+    gv.add_argument("--json", action="store_true")
+    gv.set_defaults(func=_cmd_graph_verify)
 
     cp = sub.add_parser("cf", help="continued fractions and the conjecture registry")
     csub = cp.add_subparsers(dest="cf_command", required=True)
@@ -639,7 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--json", action="store_true")
     ce.set_defaults(func=_cmd_cf_eval)
     cx = csub.add_parser("expand", help="simple continued fraction coefficients")
-    cx.add_argument("--value", help="rational like 5000/127")
+    cx.add_argument(
+        "--value", help="rational like 5000/127; write a negative one as --value=-5000/127"
+    )
     cx.add_argument(
         "--constant", choices=("pi", "e", "log2", "catalan", "zeta3")
     )

@@ -150,3 +150,15 @@ def test_decimal_length_at_powers_of_ten():
     for k in (1, 2, 17, 300, 4299, 4300, 4301, 10**4):
         assert _decimal_length(10**k - 1) == k
         assert _decimal_length(10**k) == k + 1
+
+
+def test_ln_against_mpmath_at_several_scales():
+    mpmath = pytest.importorskip("mpmath")
+    args = ("2", "10", "0.5", "0.000123", "7.389", "98765.4321", "1" + "0" * 60, "3" + "0" * 400)
+    for scale in (0, 5, 30, 120, 450):
+        with mpmath.workdps(scale + 30):
+            ulp = mpmath.mpf(10) ** -scale
+            for text in args:
+                ours = mpmath.mpf(str(ln_bd(BigDecimal.parse(text), scale)))
+                # rounded to the scale: within half a unit in the last place
+                assert abs(ours - mpmath.log(mpmath.mpf(text))) <= ulp / 2, (text, scale)

@@ -371,7 +371,7 @@ def test_import_leaves_numpy_unloaded():
 
     src = str(Path(ramkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import ramkit.cli, sys; assert 'numpy' not in sys.modules"
+    code = "import ramkit.cli, sys; assert not {'numpy', 'scipy'} & set(sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -402,3 +402,36 @@ def test_cf_expand_past_reference_cap_is_an_error(capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_graph_verify_matches_build(built_graph, capsys):
+    _, build_stdout = built_graph
+    built = json.loads(build_stdout)
+    assert run(["graph", "verify", "--p", "5", "--q", "13", "--json"]) == 0
+    out, _ = out_of(capsys)
+    payload = json.loads(out)
+    assert {k: payload[k] for k in built} == built
+    assert payload["connected"] is True and payload["bipartite"] is True
+    assert abs(payload["lambda_second"] - 6.0) < 1e-9
+    assert run(["graph", "verify", "--p", "5", "--q", "29"]) == 0
+    out, _ = out_of(capsys)
+    assert out.startswith("X^(5,29) branch=PSL vertices=12180 degree=6 lambda=4.44201644")
+    assert out.endswith(" bipartite=False ramanujan=True\n")
+
+
+def test_graph_commands_reject_oversized_q(capsys):
+    for command in ("build", "verify"):
+        assert run(["graph", command, "--p", "5", "--q", "1009"]) == 1
+        out, err = out_of(capsys)
+        assert out == "" and err.startswith("error: X^(5,1009) has ") and err.count("\n") == 1
+
+
+def test_cf_expand_negative_value_spelling(capsys):
+    # argparse reads a separate "-5000/127" as an option; the help names
+    # the --value= spelling, which parses
+    assert run(["cf", "expand", "--help"]) == 0
+    assert "--value=-5000/127" in " ".join(out_of(capsys)[0].split())
+    assert run(["cf", "expand", "--value", "-5000/127"]) == 2
+    assert "expected one argument" in out_of(capsys)[1]
+    assert run(["cf", "expand", "--value=-5000/127"]) == 0
+    assert out_of(capsys) == ("-40 1 1 1 2 2 1 4\n", "")

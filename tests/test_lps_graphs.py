@@ -1,7 +1,9 @@
 """LPS graphs: generators, group enumeration, spectra, expansion constants."""
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ramkit import DomainError
@@ -11,6 +13,9 @@ from ramkit.lps_graphs import (
     FourSquares,
     Graph,
     ProjMatrix,
+    _coset_action,
+    _real_block,
+    _representative_blocks,
     build_lps,
     cayley_graph,
     enumerate_group,
@@ -18,6 +23,7 @@ from ramkit.lps_graphs import (
     four_square_solutions,
     generating_set,
     is_connected,
+    lps_spectrum,
     spectral_report,
 )
 
@@ -293,3 +299,61 @@ def test_list_graphs_irregular_and_disconnected(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def dense_spectrum(n: int, rows, cols, values) -> np.ndarray:
+    a = np.zeros((n, n))
+    np.add.at(a, (rows, cols), values)
+    return np.linalg.eigvalsh(a)
+
+
+@pytest.mark.parametrize("p,q", [(17, 13), (29, 13), (5, 13)])
+def test_coset_blocks_union_is_whole_graph_spectrum(p, q):
+    gens = generating_set(p, q)
+    action = _coset_action(gens)
+    assert action[0] == len(enumerate_group(q, gens[0].kind)) // q
+    blocks = {b: dense_spectrum(action[0], *_real_block(action, q, b)) for b in range(q)}
+    union = np.sort(np.concatenate(list(blocks.values())))
+    graph = build_lps(p, q)[0]
+    sources = np.repeat(np.arange(graph.n), p + 1)
+    whole = dense_spectrum(graph.n, sources, graph.adjacency.ravel(), 1.0)
+    assert len(union) == len(whole)
+    assert np.max(np.abs(union - whole)) < 1e-9
+    # every block repeats the spectrum of the representative of its class:
+    # b = 0, b a nonzero square (the whole of F_q^* for PGL), b a nonsquare
+    reps = _representative_blocks(q, gens[0].kind)
+    assert [mult for _, mult in reps] == ([1, q - 1] if gens[0].kind == PGL else
+                                          [1, (q - 1) // 2, (q - 1) // 2])
+    squares = {t * t % q for t in range(1, q)}
+    for b, spectrum in blocks.items():
+        cls = 0 if b == 0 else 1 if gens[0].kind == PGL or b in squares else 2
+        assert np.max(np.abs(spectrum - blocks[reps[cls][0]])) < 1e-9, b
+
+
+@pytest.mark.parametrize("q", [29, 37])
+def test_lps_spectrum_matches_whole_graph_lanczos(q):
+    graph, _, _ = build_lps(5, q)
+    whole = spectral_report(graph, 6, force_iterative=True)
+    blocks = lps_spectrum(5, q)
+    assert abs(blocks.lambda_nontrivial - whole.lambda_nontrivial) < 1e-9
+    assert abs(blocks.lambda2 - whole.lambda2) < 1e-9
+    assert blocks.bipartite == whole.bipartite == (q == 37)
+    assert blocks.is_ramanujan and whole.is_ramanujan
+
+
+def test_lps_spectrum_is_deterministic():
+    for p, q in ((13, 17), (5, 37)):  # a dense and a Lanczos block solve
+        assert lps_spectrum(p, q) == lps_spectrum(p, q)
+
+
+def test_lps_size_guard_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="vertices"):
+            build_lps(5, 1009)
+        with pytest.raises(DomainError, match="rows"):
+            lps_spectrum(5, 1009)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
