@@ -54,8 +54,7 @@ def _cmd_pi(args) -> int:
         raise DomainError("--terms applies only to the madhava method")
     terms_used = None
     if args.method == "madhava":
-        # about 0.477 digits per term (the series decays like 3^-k)
-        terms_used = args.terms or math.ceil(digits / 0.47) + 10
+        terms_used = pi_engine.madhava_terms(digits) if args.terms is None else args.terms
         value = pi_engine.pi_madhava(terms_used, digits)
     elif args.method == "machin":
         value = pi_engine.pi_machin(digits)
@@ -63,7 +62,7 @@ def _cmd_pi(args) -> int:
         value = pi_engine.pi_ramanujan(digits)
     else:
         value = pi_engine.pi_chudnovsky(digits)
-        terms_used = -(-digits // 14) + 1
+        terms_used = pi_engine.chudnovsky_terms(digits)
     rate = None
     if args.report_convergence:
         if args.method not in ("ramanujan", "chudnovsky"):

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 
 from . import DomainError
 from .bigdec import BigDecimal, exp_bd, iroot, ln_bd
-from .pi_engine import guard_digits, pi_chudnovsky
+from .pi_engine import atan_leaf, atan_terms, binsplit, guard_digits, pi_chudnovsky
 
 _DEPTH_CAP = 10 ** 6
 # registry verification tests convergence at 50, 100, ..., 819200, 10^6
@@ -234,27 +234,15 @@ def simple_cf_expand(x, max_terms: int) -> ExpandResult:
 _REF_NAMES = ("pi", "e", "log2", "catalan", "zeta3", "sqrt5")
 
 
-def _e_series(digits: int) -> BigDecimal:
-    g = 15
-    unit = 10 ** (digits + g)
-    term, total, k = unit, unit, 1
-    while term:
-        term //= k
-        total += term
-        k += 1
-    return BigDecimal(total, digits + g).at_scale(digits)
+def _e_leaf(k: int) -> tuple[int, int, int]:
+    # e = sum_k 1/k!: p = 1, q = k
+    return 1, max(k, 1), 1
 
 
-def _log2_series(digits: int) -> BigDecimal:
-    # log 2 = 2 atanh(1/3) = 2 sum 3^-(2k+1)/(2k+1)
-    g = 15
-    p = 10 ** (digits + g) // 3
-    total, k = 0, 0
-    while p:
-        total += p // (2 * k + 1)
-        p //= 9
-        k += 1
-    return BigDecimal(2 * total, digits + g).at_scale(digits)
+def _e_terms(w: int) -> int:
+    """Terms of sum 1/k! through the first k with k! > 10^w, so every
+    term still nonzero at scale w."""
+    return next(n for n in count(2) if math.lgamma(n) > w * math.log(10))
 
 
 def _alternating_accel(a_den, digits: int) -> Fraction:
@@ -275,26 +263,26 @@ def _alternating_accel(a_den, digits: int) -> Fraction:
     return Fraction(s, d * unit)
 
 
-def _sqrt_int(v: int, digits: int) -> BigDecimal:
-    g = digits + 4
-    return BigDecimal(math.isqrt(v * 10 ** (2 * g)), g).at_scale(digits)
-
-
 @lru_cache(maxsize=64)
 def reference_constant(name: str, digits: int) -> BigDecimal:
     """Independent high-precision references: pi (Chudnovsky), e
-    (factorial series), log2 (atanh series), catalan and zeta3
-    (accelerated alternating series), sqrt5 (integer square root)."""
+    (factorial series) and log2 (atanh series) by binary splitting,
+    catalan and zeta3 (accelerated alternating series), sqrt5 (integer
+    square root)."""
     if name not in _REF_NAMES:
         raise DomainError(f"unsupported constant {name!r}")
     if not 1 <= digits <= 500:
         raise DomainError("digits must be in 1..500")
     if name == "pi":
         return pi_chudnovsky(digits)
-    if name == "e":
-        return _e_series(digits)
-    if name == "log2":
-        return _log2_series(digits)
+    if name in ("e", "log2"):
+        w = digits + 15
+        if name == "e":
+            t, q = binsplit(_e_terms(w), _e_leaf)
+        else:  # log 2 = 2 atanh(1/3) = (2/3) sum_k 1/((2k+1) 9^k)
+            t, q = binsplit(atan_terms(9, w), atan_leaf(9, 1))
+            t, q = 2 * t, 3 * q
+        return BigDecimal(t * 10**w // q, w).at_scale(digits)
     if name == "catalan":
         fr = _alternating_accel(lambda k: (2 * k + 1) ** 2, digits)
         return BigDecimal.from_fraction(fr, digits)
@@ -302,7 +290,7 @@ def reference_constant(name: str, digits: int) -> BigDecimal:
         # zeta(3) = (4/3) eta(3) with eta(3) = sum (-1)^k/(k+1)^3
         fr = _alternating_accel(lambda k: (k + 1) ** 3, digits)
         return BigDecimal.from_fraction(Fraction(4, 3) * fr, digits)
-    return _sqrt_int(5, digits)
+    return BigDecimal.from_int(5).sqrt(digits + 4).at_scale(digits)
 
 
 def catalan_via_binomial(digits: int) -> BigDecimal:
@@ -316,7 +304,7 @@ def catalan_via_binomial(digits: int) -> BigDecimal:
         total += t
         n += 1
     s = BigDecimal(3 * total, w)
-    root3 = _sqrt_int(3, w)
+    root3 = BigDecimal.from_int(3).sqrt(w + 4).at_scale(w)
     lnpart = ln_bd(root3 + BigDecimal.from_int(2).at_scale(w), w)
     value = pi_chudnovsky(w) * lnpart + s
     return value.divide(BigDecimal.from_int(8), digits)

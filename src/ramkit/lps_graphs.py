@@ -431,9 +431,7 @@ def _bipartition(indptr: np.ndarray, indices: np.ndarray) -> bool:
 _DENSE_LIMIT = 2000
 
 
-def _extremal_eigenvalues(
-    indptr: np.ndarray, indices: np.ndarray, how_many: int, force_iterative: bool = False
-) -> np.ndarray:
+def _extremal_eigenvalues(indptr: np.ndarray, indices: np.ndarray, how_many: int) -> np.ndarray:
     """Largest-magnitude adjacency eigenvalues, descending by |value|.
 
     Dense symmetric solve up to 2000 vertices, Lanczos (ARPACK) above;
@@ -441,7 +439,7 @@ def _extremal_eigenvalues(
     """
     n = len(indptr) - 1
     rows = _sources(indptr)
-    if n <= _DENSE_LIMIT and not force_iterative:
+    if n <= _DENSE_LIMIT:
         a = np.zeros((n, n))
         np.add.at(a, (rows, indices), 1.0)
         vals = np.linalg.eigvalsh(a)
@@ -459,7 +457,7 @@ def _extremal_eigenvalues(
     return vals[order]
 
 
-def spectral_report(g: Graph, k: int, force_iterative: bool = False) -> SpectralReport:
+def spectral_report(g: Graph, k: int) -> SpectralReport:
     """Spectral summary with the Ramanujan verdict.
 
     The verdict tests the nontrivial spectrum: the +k eigenvalue of a
@@ -476,7 +474,7 @@ def spectral_report(g: Graph, k: int, force_iterative: bool = False) -> Spectral
         raise DomainError("spectral report requires a connected graph")
     bipartite = _bipartition(indptr, indices)
     want = 4 if not bipartite else 5
-    vals = _extremal_eigenvalues(indptr, indices, want, force_iterative)
+    vals = _extremal_eigenvalues(indptr, indices, want)
     return _summarize(vals, k, bipartite)
 
 

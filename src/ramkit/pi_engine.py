@@ -1,20 +1,31 @@
-"""Arbitrary-precision pi by four historical series.
+"""Arbitrary-precision pi by four historical series and one
+binary-splitting kernel.
 
-All series run on scaled integers (value * 10^working_scale) with guard
-digits, and round half-even once at the end. Series constants follow
-the classical forms:
+Each series sums terms with a rational term ratio,
+S(n) = sum_{k<n} a(k) prod_{j<=k} p(j)/q(j), so `binsplit` sums every
+one exactly from its leaf k -> (p(k), q(k), a(k) p(k)), with
+p(0) = q(0) = 1 (Haible and Papanikolaou, "Fast multiprecision
+evaluation of series of rational numbers", ANTS 1998):
 
-    madhava     pi = sqrt(12) * sum_k (-3)^(-k) / (2k+1)
+    madhava     pi = sqrt(12) * sum_k (-1)^k / ((2k+1) 3^k)
     machin      pi/4 = 4 arctan(1/5) - arctan(1/239)
+                both: arctan-type leaf p = -(2k-1), q = (2k+1) x^2
     ramanujan   1/pi = (2 sqrt(2)/99^2) * sum_k (4k)!/(k!)^4 * (26390k+1103)/396^(4k)
-    chudnovsky  426880 sqrt(10005)/pi = sum_q M_q L_q / X_q
+                p = (4k-3)(4k-2)(4k-1)(4k), q = 396^4 k^4, a = 1103 + 26390k
+    chudnovsky  426880 sqrt(10005)/pi = sum_k M_k L_k / X_k
+                p = (6k-5)(2k-1)(6k-1), q = 640320^3/24 k^3, a = (-1)^k L_k
+
+With p = +(2k-1) the arctan-type leaf sums atanh, for the log 2
+reference in contfrac. Term counts are fixed before the sum starts. The
+exact T/Q becomes value * 10^working_scale, with guard digits, once,
+and rounds half-even once at the end.
 """
 
 import math
 from dataclasses import dataclass
 
 from . import DomainError
-from .bigdec import BigDecimal
+from .bigdec import BigDecimal, isqrt_scaled
 
 _CHUD_A = 13591409
 _CHUD_B = 545140134
@@ -35,18 +46,90 @@ def _wrap(scaled: int, working_scale: int, digits: int) -> BigDecimal:
     return BigDecimal(scaled, working_scale).at_scale(digits)
 
 
-# -- Madhava -----------------------------------------------------------
+# -- the kernel and its leaves -------------------------------------------
 
 
-def _madhava_scaled(terms: int, s: int) -> int:
-    unit = 10**s
-    total = 0
-    power = 1  # 3^k
-    for k in range(terms):
-        term = unit // ((2 * k + 1) * power)
-        total += -term if k & 1 else term
-        power *= 3
-    return total * math.isqrt(12 * 10 ** (2 * s)) // unit
+def binsplit(terms: int, leaf) -> tuple[int, int]:
+    """(T, Q) with T/Q = sum_{k<terms} a(k) prod_{j<=k} p(j)/q(j) for
+    terms >= 1, where leaf(k) = (p(k), q(k), a(k) p(k)); exact, and no
+    step divides."""
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a == 1:
+            return leaf(a)
+        m = (a + b) // 2
+        p1, q1, t1 = split(a, m)
+        p2, q2, t2 = split(m, b)
+        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+    _, q, t = split(0, terms)
+    return t, q
+
+
+def atan_leaf(x2: int, sign: int = -1):
+    """Leaf of sum_k sign^k / ((2k+1) x2^k), which is x arctan(1/x)
+    (sign -1) or x atanh(1/x) (sign +1) for x2 = x^2."""
+
+    def leaf(k: int) -> tuple[int, int, int]:
+        if k == 0:
+            return 1, 1, 1
+        p = sign * (2 * k - 1)
+        return p, (2 * k + 1) * x2, p
+
+    return leaf
+
+
+def atan_terms(x2: int, s: int) -> int:
+    """Terms of the arctan-type sum that cover every k with
+    x^(2k+1) <= 10^s, the terms still nonzero at scale s."""
+    return int(s / math.log10(x2)) + 1
+
+
+def madhava_terms(digits: int) -> int:
+    """Default Madhava term count: the series gains log10(3), about
+    0.477 digits, per term."""
+    return math.ceil(digits / 0.47) + 10
+
+
+def _ramanujan_leaf(k: int) -> tuple[int, int, int]:
+    if k == 0:
+        return 1, 1, 1103
+    p = (4 * k - 3) * (4 * k - 2) * (4 * k - 1) * (4 * k)
+    return p, 24591257856 * k**4, p * (1103 + 26390 * k)  # 396^4 k^4
+
+
+def _ramanujan_terms(s: int) -> int:
+    """Terms of the Ramanujan series past which every term lies below
+    10^-s: (4k)!/(k!)^4 (26390k + 1103) < 10^3.6 256^k, and
+    396^4/256 > 10^7.98."""
+    return int(s / 7.98) + 2
+
+
+def _chudnovsky_leaf(k: int) -> tuple[int, int, int]:
+    if k == 0:
+        return 1, 1, _CHUD_A
+    p = (6 * k - 5) * (2 * k - 1) * (6 * k - 1)
+    t = p * (_CHUD_A + _CHUD_B * k)
+    return p, 10939058860032000 * k**3, -t if k & 1 else t  # 640320^3 / 24 k^3
+
+
+def chudnovsky_terms(digits: int) -> int:
+    """Chudnovsky term count: ceil(digits/14) + 1, at about 14.18
+    digits per term."""
+    return -(-digits // 14) + 1
+
+
+def _pi_scaled(method: str, terms: int, s: int) -> int:
+    """pi * 10^s from the first `terms` terms of the Ramanujan or the
+    Chudnovsky series."""
+    if method == "ramanujan":
+        t, q = binsplit(terms, _ramanujan_leaf)
+        return 9801 * q * 10 ** (2 * s) // (2 * isqrt_scaled(2, s) * t)
+    t, q = binsplit(terms, _chudnovsky_leaf)
+    return 426880 * isqrt_scaled(10005, s) * q // t
+
+
+# -- the four series ------------------------------------------------------
 
 
 def pi_madhava(terms: int, digits: int) -> BigDecimal:
@@ -54,25 +137,8 @@ def pi_madhava(terms: int, digits: int) -> BigDecimal:
     if terms < 1 or digits < 1:
         raise DomainError("terms and digits must be >= 1")
     s = digits + guard_digits(terms)
-    return _wrap(_madhava_scaled(terms, s), s, digits)
-
-
-# -- Machin ------------------------------------------------------------
-
-
-def _arctan_inv_scaled(x: int, s: int) -> int:
-    """arctan(1/x) * 10^s by the Maclaurin series, truncated when a term
-    underflows the working scale."""
-    power = 10**s // x  # 10^s / x^(2k+1)
-    total = power
-    x2 = x * x
-    k = 1
-    while power:
-        power //= x2
-        term = power // (2 * k + 1)
-        total += -term if k & 1 else term
-        k += 1
-    return total
+    t, q = binsplit(terms, atan_leaf(3))
+    return _wrap(isqrt_scaled(12, s) * t // q, s, digits)
 
 
 def pi_machin(digits: int) -> BigDecimal:
@@ -80,36 +146,11 @@ def pi_machin(digits: int) -> BigDecimal:
     if digits < 1:
         raise DomainError("digits must be >= 1")
     s = digits + guard_digits(digits)
-    scaled = 4 * (4 * _arctan_inv_scaled(5, s) - _arctan_inv_scaled(239, s))
-    return _wrap(scaled, s, digits)
-
-
-# -- Ramanujan 1/pi series ----------------------------------------------
-
-
-def _ramanujan_partial_scaled(terms: int | None, s: int) -> int:
-    """pi * 10^s from the first `terms` series terms (all terms above
-    the working scale when terms is None)."""
     unit = 10**s
-    total = 0
-    N = 1  # (4k)!/(k!)^4
-    denom = 1  # 396^(4k)
-    k = 0
-    while True:
-        term = N * (26390 * k + 1103) * unit // denom
-        total += term
-        k += 1
-        if terms is not None and k >= terms:
-            break
-        if terms is None and term == 0:
-            break
-        step_num = N * (4 * k - 3) * (4 * k - 2) * (4 * k - 1) * (4 * k)
-        N, rem = divmod(step_num, k**4)
-        if rem:
-            raise DomainError("multinomial recurrence failed to divide exactly")
-        denom *= 396**4
-    sqrt2 = math.isqrt(2 * 10 ** (2 * s))
-    return 9801 * 10 ** (3 * s) // (2 * sqrt2 * total)
+    t5, q5 = binsplit(atan_terms(25, s), atan_leaf(25))
+    t239, q239 = binsplit(atan_terms(239**2, s), atan_leaf(239**2))
+    scaled = 4 * (4 * (unit * t5 // (5 * q5)) - unit * t239 // (239 * q239))
+    return _wrap(scaled, s, digits)
 
 
 def pi_ramanujan(digits: int) -> BigDecimal:
@@ -117,10 +158,23 @@ def pi_ramanujan(digits: int) -> BigDecimal:
     if digits < 1:
         raise DomainError("digits must be >= 1")
     s = digits + guard_digits(digits // 8 + 2)
-    return _wrap(_ramanujan_partial_scaled(None, s), s, digits)
+    return _wrap(_pi_scaled("ramanujan", _ramanujan_terms(s), s), s, digits)
 
 
-# -- Chudnovsky ----------------------------------------------------------
+def pi_chudnovsky(digits: int) -> BigDecimal:
+    """pi to the requested digits from chudnovsky_terms(digits) terms."""
+    if digits < 1:
+        raise DomainError("digits must be >= 1")
+    terms = chudnovsky_terms(digits)
+    s = digits + guard_digits(terms)
+    return _wrap(_pi_scaled("chudnovsky", terms, s), s, digits)
+
+
+# -- Chudnovsky recurrence oracle ------------------------------------------
+#
+# ChudnovskyState and chudnovsky_step keep the term-by-term recurrence as
+# the integrality oracle that the selftest and the tests check binary
+# splitting against.
 
 
 @dataclass(frozen=True)
@@ -157,46 +211,6 @@ def chudnovsky_step(state: ChudnovskyState) -> ChudnovskyState:
     )
 
 
-def _chudnovsky_binsplit(terms: int, s: int) -> int:
-    """pi * 10^s from the first `terms` series terms, summed exactly by
-    binary splitting (Haible and Papanikolaou): each half of the index
-    range returns the products P, Q and the numerator T of its partial
-    sum over Q, and halves combine as (P1 P2, Q1 Q2, Q2 T1 + P1 T2)."""
-
-    def split(a: int, b: int) -> tuple[int, int, int]:
-        if b - a == 1:
-            if a == 0:
-                p = q = 1
-            else:
-                p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
-                q = 10939058860032000 * a**3  # 640320^3 / 24 * a^3
-            t = p * (_CHUD_A + _CHUD_B * a)
-            return p, q, -t if a & 1 else t
-        m = (a + b) // 2
-        p1, q1, t1 = split(a, m)
-        p2, q2, t2 = split(m, b)
-        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
-
-    _, q, t = split(0, terms)
-    c = 426880 * math.isqrt(10005 * 10 ** (2 * s))
-    return c * q // t
-
-
-def pi_chudnovsky(digits: int) -> BigDecimal:
-    """pi to the requested digits from ceil(digits/14)+1 series terms,
-    summed by binary splitting at every size.
-
-    ChudnovskyState and chudnovsky_step keep the term-by-term recurrence
-    as the integrality oracle that the selftest and the tests check
-    binary splitting against.
-    """
-    if digits < 1:
-        raise DomainError("digits must be >= 1")
-    terms = -(-digits // 14) + 1
-    s = digits + guard_digits(terms)
-    return _wrap(_chudnovsky_binsplit(terms, s), s, digits)
-
-
 # -- convergence reporter -------------------------------------------------
 
 _REFERENCE_DIGITS = 2000
@@ -217,14 +231,10 @@ def digits_per_term(method: str, terms: int) -> float:
     reference: (correct_digits(terms) - correct_digits(1)) / (terms-1)."""
     if terms < 2:
         raise DomainError("digits_per_term needs terms >= 2")
-    partial = {
-        "ramanujan": _ramanujan_partial_scaled,
-        "chudnovsky": _chudnovsky_binsplit,
-    }.get(method)
-    if partial is None:
+    if method not in ("ramanujan", "chudnovsky"):
         raise DomainError(f"unknown method {method!r}")
     s = _REFERENCE_DIGITS
-    ref = _chudnovsky_binsplit(-(-s // 14) + 2, s)
-    d_many = _correct_digits(partial(terms, s), ref, s)
-    d_one = _correct_digits(partial(1, s), ref, s)
+    ref = _pi_scaled("chudnovsky", chudnovsky_terms(s) + 1, s)
+    d_many = _correct_digits(_pi_scaled(method, terms, s), ref, s)
+    d_one = _correct_digits(_pi_scaled(method, 1, s), ref, s)
     return (d_many - d_one) / (terms - 1)

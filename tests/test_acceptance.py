@@ -104,11 +104,11 @@ def test_criterion_04_lps_spectral_gates(capsys):
     gate = 2.0 * math.sqrt(6.0) + 1e-6
     t0 = time.perf_counter()
     g29, _, meta29 = lps_graphs.build_lps(5, 29)
-    rep29 = lps_graphs.spectral_report(g29, 6, force_iterative=True)
+    rep29 = lps_graphs.spectral_report(g29, 6)
     t29 = time.perf_counter() - t0
     t0 = time.perf_counter()
     g13, _, meta13 = lps_graphs.build_lps(5, 13)
-    rep13 = lps_graphs.spectral_report(g13, 6, force_iterative=True)
+    rep13 = lps_graphs.spectral_report(g13, 6)
     t13 = time.perf_counter() - t0
     checks = [
         meta29["branch"] == lps_graphs.PSL,

@@ -44,6 +44,15 @@ def test_pi_terms_flag_is_madhava_only(capsys):
     assert err.startswith("error:")
 
 
+def test_pi_nonpositive_terms_is_one_error_line(capsys):
+    for terms in ("0", "-1"):
+        argv = ["pi", "--method", "madhava", "--digits", "10", "--terms", terms, "--json"]
+        assert run(argv) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_pi_report_convergence(capsys):
     argv = ["pi", "--method", "chudnovsky", "--digits", "30", "--json",
             "--report-convergence"]

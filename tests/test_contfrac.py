@@ -13,6 +13,7 @@ from ramkit import DomainError
 from ramkit.bigdec import BigDecimal, exp_bd
 from ramkit.contfrac import (
     CFSpec,
+    _e_terms,
     catalan_via_binomial,
     eval_cf,
     gamma_bd,
@@ -117,6 +118,48 @@ def test_reference_constants_20_digits():
         assert str(reference_constant(name, 20)) == expected
     with pytest.raises(DomainError):
         reference_constant("gamma", 20)
+
+
+def loop_e(digits: int) -> BigDecimal:
+    """Oracle: the e reference's working scale, sum 1/k! term by term
+    until a floored term underflows."""
+    w = digits + 15
+    term = total = 10**w
+    k = 1
+    while term:
+        term //= k
+        total += term
+        k += 1
+    return BigDecimal(total, w).at_scale(digits)
+
+
+def loop_log2(digits: int) -> BigDecimal:
+    """Oracle: the log2 reference's working scale, 2 atanh(1/3) summed
+    term by term until a floored term underflows."""
+    w = digits + 15
+    p = 10**w // 3  # 10^w / 3^(2k+1)
+    total, k = 0, 0
+    while p:
+        total += p // (2 * k + 1)
+        p //= 9
+        k += 1
+    return BigDecimal(2 * total, w).at_scale(digits)
+
+
+def test_e_terms_cover_every_nonzero_term():
+    # the fixed count reaches the first term a floored loop sees vanish
+    for w in range(1, 601):
+        term, nonzero = 10**w, 0  # 10^w / k!
+        while term:
+            nonzero += 1
+            term //= nonzero
+        assert _e_terms(w) >= nonzero, w
+
+
+def test_e_and_log2_references_match_term_by_term_loops():
+    for digits in range(1, 501):
+        assert str(reference_constant("e", digits)) == str(loop_e(digits)), digits
+        assert str(reference_constant("log2", digits)) == str(loop_log2(digits)), digits
 
 
 def test_reference_constants_10_digit_rounding():

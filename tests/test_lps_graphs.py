@@ -214,10 +214,18 @@ def test_spectral_report_rejects_irregular():
 
 
 def test_dense_and_iterative_agree():
-    g = cycle_graph(24)
-    dense = spectral_report(g, 2)
-    iterative = spectral_report(g, 2, force_iterative=True)
-    assert abs(dense.lambda_nontrivial - iterative.lambda_nontrivial) < 1e-6
+    # X^(5,13) has 2184 vertices, above the 2000-vertex dense limit, so
+    # the whole-graph report runs Lanczos; check it against a dense solve
+    graph = build_lps(5, 13)[0]
+    iterative = spectral_report(graph, 6)
+    sources = np.repeat(np.arange(graph.n), 6)
+    dense = dense_spectrum(graph.n, sources, graph.adjacency.ravel(), 1.0)
+    abs_desc = np.sort(np.abs(dense))[::-1]
+    # bipartite: +6 and -6 are the trivial eigenvalues, each simple
+    assert iterative.bipartite
+    assert abs(iterative.lambda1 - dense.max()) < 1e-9
+    assert abs(iterative.lambda2 - abs_desc[1]) < 1e-9
+    assert abs(iterative.lambda_nontrivial - abs_desc[2]) < 1e-9
 
 
 def test_build_lps_5_13():
@@ -333,7 +341,7 @@ def test_coset_blocks_union_is_whole_graph_spectrum(p, q):
 @pytest.mark.parametrize("q", [29, 37])
 def test_lps_spectrum_matches_whole_graph_lanczos(q):
     graph, _, _ = build_lps(5, q)
-    whole = spectral_report(graph, 6, force_iterative=True)
+    whole = spectral_report(graph, 6)
     blocks = lps_spectrum(5, q)
     assert abs(blocks.lambda_nontrivial - whole.lambda_nontrivial) < 1e-9
     assert abs(blocks.lambda2 - whole.lambda2) < 1e-9

@@ -9,7 +9,12 @@ from ramkit import DomainError
 from ramkit.bigdec import BigDecimal
 from ramkit.pi_engine import (
     CHUDNOVSKY_INITIAL,
+    _ramanujan_leaf,
+    _ramanujan_terms,
+    atan_terms,
+    binsplit,
     chudnovsky_step,
+    chudnovsky_terms,
     digits_per_term,
     guard_digits,
     pi_chudnovsky,
@@ -31,10 +36,21 @@ CHUDNOVSKY_RATES = (
 )
 
 
+# digits_per_term("ramanujan", t) for t = 2..20, as the term-by-term loop
+# with a per-term exact-division check computed them
+RAMANUJAN_RATES = (
+    8.077361819459156, 8.064346707449317, 8.054662397862103, 8.047283013681806,
+    8.041471192120843, 8.036762721903983, 8.032859498118244, 8.029562776835263,
+    8.026735149986735, 8.024278523076351, 8.02212090653988, 8.020208198666845,
+    8.018498897553487, 8.016960593002036, 8.015567575587982, 8.014299167663296,
+    8.013138533255828, 8.012071813182452, 8.011087485711702,
+)
+
+
 def recurrence_pi(digits: int) -> BigDecimal:
     """Oracle: pi_chudnovsky's term count and working scale, with the
     series summed term by term over chudnovsky_step."""
-    terms = -(-digits // 14) + 1
+    terms = chudnovsky_terms(digits)
     s = digits + guard_digits(terms)
     unit = 10**s
     state = CHUDNOVSKY_INITIAL
@@ -43,6 +59,61 @@ def recurrence_pi(digits: int) -> BigDecimal:
         total += state.M * state.L * unit // state.X
         state = chudnovsky_step(state)
     scaled = 426880 * math.isqrt(10005 * 10 ** (2 * s)) * unit // total
+    return BigDecimal(scaled, s).at_scale(digits)
+
+
+def loop_madhava(terms: int, digits: int) -> BigDecimal:
+    """Oracle: pi_madhava's working scale, with each term floored to it."""
+    s = digits + guard_digits(terms)
+    unit = 10**s
+    total = 0
+    power = 1  # 3^k
+    for k in range(terms):
+        term = unit // ((2 * k + 1) * power)
+        total += -term if k & 1 else term
+        power *= 3
+    scaled = total * math.isqrt(12 * 10 ** (2 * s)) // unit
+    return BigDecimal(scaled, s).at_scale(digits)
+
+
+def loop_arctan_inv(x: int, s: int) -> int:
+    """arctan(1/x) * 10^s, summed until a floored term underflows."""
+    power = 10**s // x  # 10^s / x^(2k+1)
+    total = power
+    k = 1
+    while power:
+        power //= x * x
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        k += 1
+    return total
+
+
+def loop_machin(digits: int) -> BigDecimal:
+    """Oracle: pi_machin's working scale, arctangents summed term by term."""
+    s = digits + guard_digits(digits)
+    scaled = 4 * (4 * loop_arctan_inv(5, s) - loop_arctan_inv(239, s))
+    return BigDecimal(scaled, s).at_scale(digits)
+
+
+def loop_ramanujan(digits: int) -> BigDecimal:
+    """Oracle: pi_ramanujan's working scale, with the series summed term
+    by term until a floored term underflows."""
+    s = digits + guard_digits(digits // 8 + 2)
+    unit = 10**s
+    total = 0
+    N = 1  # (4k)!/(k!)^4
+    denom = 1  # 396^(4k)
+    k = 0
+    while True:
+        term = N * (26390 * k + 1103) * unit // denom
+        if term == 0:
+            break
+        total += term
+        k += 1
+        N = N * (4 * k - 3) * (4 * k - 2) * (4 * k - 1) * (4 * k) // k**4
+        denom *= 396**4
+    scaled = 9801 * 10 ** (3 * s) // (2 * math.isqrt(2 * 10 ** (2 * s)) * total)
     return BigDecimal(scaled, s).at_scale(digits)
 
 
@@ -88,6 +159,57 @@ def test_chudnovsky_state_exact():
 def test_binary_splitting_matches_recurrence():
     for digits in [*range(1, 301), 4400, 10000]:
         assert str(pi_chudnovsky(digits)) == str(recurrence_pi(digits)), digits
+
+
+def test_machin_and_ramanujan_match_term_by_term_loops():
+    for digits in [*range(1, 301), 4400, 10000]:
+        assert str(pi_machin(digits)) == str(loop_machin(digits)), digits
+        assert str(pi_ramanujan(digits)) == str(loop_ramanujan(digits)), digits
+
+
+def test_madhava_matches_term_by_term_loop():
+    for terms in range(1, 61):
+        for digits in (10, 30, 100):
+            assert str(pi_madhava(terms, digits)) == str(loop_madhava(terms, digits)), terms
+
+
+def test_atan_terms_cover_every_nonzero_term():
+    # the fixed count reaches the first term a floored loop sees vanish
+    for x in (3, 5, 239):
+        for s in range(1, 601):
+            power, nonzero = 10**s // x, 0  # 10^s / x^(2k+1)
+            while power:
+                nonzero += 1
+                power //= x * x
+            assert atan_terms(x * x, s) >= nonzero, (x, s)
+
+
+def test_ramanujan_terms_cover_every_nonzero_term():
+    # k ends at the first term a floored loop sees vanish
+    for s in range(1, 601):
+        k, multinomial = 0, 1  # (4k)!/(k!)^4
+        while multinomial * (26390 * k + 1103) * 10**s // 396 ** (4 * k):
+            k += 1
+            multinomial = multinomial * (4 * k - 3) * (4 * k - 2) * (4 * k - 1) * (4 * k) // k**4
+        assert _ramanujan_terms(s) >= k, s
+
+
+def test_ramanujan_partial_sums_exact():
+    # binary splitting never divides; the partial sums are exactly the
+    # multinomial series, the check the term-by-term loop made by division
+    expected = Fraction(0)
+    for n in range(1, 31):
+        k = n - 1
+        expected += Fraction(
+            math.factorial(4 * k) * (1103 + 26390 * k),
+            math.factorial(k) ** 4 * 396 ** (4 * k),
+        )
+        t, q = binsplit(n, _ramanujan_leaf)
+        assert Fraction(t, q) == expected, n
+
+
+def test_digits_per_term_ramanujan_exact_floats():
+    assert tuple(digits_per_term("ramanujan", t) for t in range(2, 21)) == RAMANUJAN_RATES
 
 
 def test_digits_per_term_chudnovsky_exact_floats():
