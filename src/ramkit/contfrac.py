@@ -28,6 +28,8 @@ _DEPTH_CAP = 10 ** 6
 # registry verification tests convergence at 50, 100, ..., 819200, 10^6
 _CHECKPOINTS = tuple(50 << j for j in range(15)) + (_DEPTH_CAP,)
 _BITS_PER_DIGIT = math.log2(10)
+_LN10 = math.log(10)
+_LOG10_4 = math.log10(4)
 
 
 def _poly_eval(coeffs, n: int) -> int:
@@ -242,87 +244,92 @@ def _e_leaf(k: int) -> tuple[int, int, int]:
 def _e_terms(w: int) -> int:
     """Terms of sum 1/k! through the first k with k! > 10^w, so every
     term still nonzero at scale w."""
-    return next(n for n in count(2) if math.lgamma(n) > w * math.log(10))
+    return next(n for n in count(2) if math.lgamma(n) > w * _LN10)
 
 
-def _alternating_accel(a_den, digits: int) -> Fraction:
-    """Chebyshev acceleration of sum_k (-1)^k / a_den(k) for positive
-    increasing a_den; error falls like (3+sqrt 8)^-n with n terms."""
-    n = int(1.35 * (digits + 8)) + 4
-    dprev, d = 1, 3  # d_n = ((3+2sqrt2)^n + (3-2sqrt2)^n)/2, Pell recurrence
-    for _ in range(n - 1):
-        dprev, d = d, 6 * d - dprev
-    unit = 10 ** (digits + 12)
-    b, c, s = -1, -d, 0
-    for k in range(n):
-        c = b - c
-        s += c * unit // a_den(k)
-        b, r = divmod(2 * b * (k + n) * (k - n), (2 * k + 1) * (k + 1))
-        if r:
-            raise DomainError("acceleration weights left integer range")
-    return Fraction(s, d * unit)
+def _last_term(log10_size, w: int) -> int:
+    """Largest n >= 1 with log10_size(n) <= w, for increasing
+    log10_size. The search starts at n = w / log10(4), since the Apery
+    and Lupas series both gain log10(4), about 0.60 digits, per term."""
+    n = max(1, int(w / _LOG10_4))
+    while log10_size(n + 1) <= w:
+        n += 1
+    while n > 1 and log10_size(n) > w:
+        n -= 1
+    return n
+
+
+def _ln_central_binomial(n: int) -> float:
+    """ln C(2n, n)."""
+    return math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1)
+
+
+def _apery_leaf(k: int) -> tuple[int, int, int]:
+    # term n = k+1 of sum_n (-1)^(n-1) / (n^3 C(2n,n)): the first is 1/2,
+    # and term n+1 / term n = -n^3 / (2 (n+1)^2 (2n+1))
+    if k == 0:
+        return 1, 2, 1
+    p = -k**3
+    return p, 2 * (k + 1) ** 2 * (2 * k + 1), p
+
+
+def _apery_terms(w: int) -> int:
+    """Terms of Apery's series through the last n with
+    n^3 C(2n,n) <= 10^w, so every term still nonzero at scale w."""
+    return _last_term(lambda n: (3 * math.log(n) + _ln_central_binomial(n)) / _LN10, w)
+
+
+def _lupas_leaf(k: int) -> tuple[int, int, int]:
+    # term n = k+1 of sum_n c_n (40n^2 - 24n + 3) with c_1 = 32/9 and
+    # c_(n+1) / c_n = -32 n^3 (2n-1) / ((4n+1)^2 (4n+3)^2)
+    if k == 0:
+        return 32, 9, 32 * 19
+    p = -32 * k**3 * (2 * k - 1)
+    return p, ((4 * k + 1) * (4 * k + 3)) ** 2, p * (40 * k * k + 56 * k + 19)
+
+
+def _lupas_log10_size(n: int) -> float:
+    """log10 of 64 / (|c_n| (40n^2 - 24n + 3)), where
+    |c_n| = 2^(8n) / (n^3 (2n-1) C(2n,n) C(4n,2n)^2)."""
+    ln_c = (8 * n * math.log(2) - 3 * math.log(n) - math.log(2 * n - 1)
+            - _ln_central_binomial(n) - 2 * _ln_central_binomial(2 * n))
+    return (math.log(64) - ln_c - math.log(40 * n * n - 24 * n + 3)) / _LN10
+
+
+def _lupas_terms(w: int) -> int:
+    """Terms of Lupas's series through the last n whose term
+    c_n (40n^2 - 24n + 3) / 64 is at least 10^-w in size, so every term
+    still nonzero at scale w."""
+    return _last_term(_lupas_log10_size, w)
 
 
 @lru_cache(maxsize=64)
 def reference_constant(name: str, digits: int) -> BigDecimal:
-    """Independent high-precision references: pi (Chudnovsky), e
-    (factorial series) and log2 (atanh series) by binary splitting,
-    catalan and zeta3 (accelerated alternating series), sqrt5 (integer
-    square root)."""
+    """Independent high-precision references: pi (Chudnovsky), and by
+    binary splitting at 15 guard digits e (factorial series), log2
+    (atanh series), catalan (Lupas's series) and zeta3 (Apery's series);
+    sqrt5 (integer square root)."""
     if name not in _REF_NAMES:
         raise DomainError(f"unsupported constant {name!r}")
     if not 1 <= digits <= 500:
         raise DomainError("digits must be in 1..500")
     if name == "pi":
         return pi_chudnovsky(digits)
-    if name in ("e", "log2"):
-        w = digits + 15
-        if name == "e":
-            t, q = binsplit(_e_terms(w), _e_leaf)
-        else:  # log 2 = 2 atanh(1/3) = (2/3) sum_k 1/((2k+1) 9^k)
-            t, q = binsplit(atan_terms(9, w), atan_leaf(9, 1))
-            t, q = 2 * t, 3 * q
-        return BigDecimal(t * 10**w // q, w).at_scale(digits)
-    if name == "catalan":
-        fr = _alternating_accel(lambda k: (2 * k + 1) ** 2, digits)
-        return BigDecimal.from_fraction(fr, digits)
-    if name == "zeta3":
-        # zeta(3) = (4/3) eta(3) with eta(3) = sum (-1)^k/(k+1)^3
-        fr = _alternating_accel(lambda k: (k + 1) ** 3, digits)
-        return BigDecimal.from_fraction(Fraction(4, 3) * fr, digits)
-    return BigDecimal.from_int(5).sqrt(digits + 4).at_scale(digits)
-
-
-def catalan_via_binomial(digits: int) -> BigDecimal:
-    """Second, structurally different Catalan series for cross-checks:
-    G = (pi/8) ln(2+sqrt3) + (3/8) sum_{n>=0} 1/(binom(2n,n)(2n+1)^2)."""
-    w = digits + 12
-    unit = 10 ** w
-    t, total, n = unit, unit, 1
-    while t:
-        t = t * n * (2 * n - 1) // (2 * (2 * n + 1) ** 2)
-        total += t
-        n += 1
-    s = BigDecimal(3 * total, w)
-    root3 = BigDecimal.from_int(3).sqrt(w + 4).at_scale(w)
-    lnpart = ln_bd(root3 + BigDecimal.from_int(2).at_scale(w), w)
-    value = pi_chudnovsky(w) * lnpart + s
-    return value.divide(BigDecimal.from_int(8), digits)
-
-
-def zeta3_via_binomial(digits: int) -> BigDecimal:
-    """Apery-style cross-check: zeta(3) = (5/2) sum (-1)^(n-1) /
-    (n^3 binom(2n,n))."""
-    w = digits + 12
-    unit = 10 ** w
-    t = unit // 2  # n = 1
-    total, sign, n = t, 1, 2
-    while t:
-        t = t * (n - 1) ** 3 // (2 * n * n * (2 * n - 1))
-        sign = -sign
-        total += sign * t
-        n += 1
-    return BigDecimal.from_fraction(Fraction(5 * total, 2 * unit), digits)
+    if name == "sqrt5":
+        return BigDecimal.from_int(5).sqrt(digits + 4).at_scale(digits)
+    w = digits + 15
+    if name == "e":
+        t, q = binsplit(_e_terms(w), _e_leaf)
+    elif name == "log2":  # log 2 = 2 atanh(1/3) = (2/3) sum_k 1/((2k+1) 9^k)
+        t, q = binsplit(atan_terms(9, w), atan_leaf(9, 1))
+        t, q = 2 * t, 3 * q
+    elif name == "catalan":  # G = (1/64) sum_n c_n (40n^2 - 24n + 3)
+        t, q = binsplit(_lupas_terms(w), _lupas_leaf)
+        q *= 64
+    else:  # zeta(3) = (5/2) sum_n (-1)^(n-1) / (n^3 C(2n,n))
+        t, q = binsplit(_apery_terms(w), _apery_leaf)
+        t, q = 5 * t, 2 * q
+    return BigDecimal(t * 10**w // q, w).at_scale(digits)
 
 
 # -- conjecture registry ----------------------------------------------------

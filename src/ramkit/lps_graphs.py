@@ -431,30 +431,24 @@ def _bipartition(indptr: np.ndarray, indices: np.ndarray) -> bool:
 _DENSE_LIMIT = 2000
 
 
-def _extremal_eigenvalues(indptr: np.ndarray, indices: np.ndarray, how_many: int) -> np.ndarray:
-    """Largest-magnitude adjacency eigenvalues, descending by |value|.
-
-    Dense symmetric solve up to 2000 vertices, Lanczos (ARPACK) above;
-    the Lanczos start vector is seeded for run-to-run determinism.
-    """
-    n = len(indptr) - 1
-    rows = _sources(indptr)
-    if n <= _DENSE_LIMIT:
+def _largest_eigenvalues(rows, cols, values, n: int, how_many: int, dense_limit: int) -> np.ndarray:
+    """The how_many largest-magnitude eigenvalues of the real symmetric
+    n x n matrix with `values` at (rows, cols), duplicates adding up,
+    descending by |value|. Dense solve up to dense_limit rows, Lanczos
+    (ARPACK) above, with a seeded start vector for run-to-run
+    determinism."""
+    if n <= dense_limit:
         a = np.zeros((n, n))
-        np.add.at(a, (rows, indices), 1.0)
+        np.add.at(a, (rows, cols), values)
         vals = np.linalg.eigvalsh(a)
-        order = np.argsort(-np.abs(vals), kind="stable")
-        return vals[order][:how_many]
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
 
-    data = np.ones(len(indices))
-    a = sp.coo_matrix((data, (rows, indices)), shape=(n, n)).tocsr()
-    v0 = np.random.default_rng(0).standard_normal(n)
-    k_eig = min(how_many, n - 1)
-    vals = spla.eigsh(a, k=k_eig, which="LM", v0=v0, return_eigenvectors=False)
-    order = np.argsort(-np.abs(vals), kind="stable")
-    return vals[order]
+        a = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+        v0 = np.random.default_rng(0).standard_normal(n)
+        vals = spla.eigsh(a, k=min(how_many, n - 1), which="LM", v0=v0, return_eigenvectors=False)
+    return vals[np.argsort(-np.abs(vals), kind="stable")][:how_many]
 
 
 def spectral_report(g: Graph, k: int) -> SpectralReport:
@@ -474,7 +468,8 @@ def spectral_report(g: Graph, k: int) -> SpectralReport:
         raise DomainError("spectral report requires a connected graph")
     bipartite = _bipartition(indptr, indices)
     want = 4 if not bipartite else 5
-    vals = _extremal_eigenvalues(indptr, indices, want)
+    ones = np.ones(len(indices))
+    vals = _largest_eigenvalues(_sources(indptr), indices, ones, g.n, want, _DENSE_LIMIT)
     return _summarize(vals, k, bipartite)
 
 
@@ -626,26 +621,6 @@ def _real_block(action, q: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 _BLOCK_DENSE_LIMIT = 300
 
 
-def _block_eigenvalues(action, q: int, b: int, how_many: int) -> np.ndarray:
-    """The how_many largest-magnitude eigenvalues of the coset block M_b,
-    descending by |value|. Dense solve up to _BLOCK_DENSE_LIMIT rows,
-    Lanczos (ARPACK) with a seeded start vector above."""
-    m = action[0]
-    rows, cols, values = _real_block(action, q, b)
-    if m <= _BLOCK_DENSE_LIMIT:
-        a = np.zeros((m, m))
-        np.add.at(a, (rows, cols), values)
-        vals = np.linalg.eigvalsh(a)
-    else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        a = sp.csr_matrix((values, (rows, cols)), shape=(m, m))
-        v0 = np.random.default_rng(0).standard_normal(m)
-        vals = spla.eigsh(a, k=how_many, which="LM", v0=v0, return_eigenvectors=False)
-    return vals[np.argsort(-np.abs(vals), kind="stable")][:how_many]
-
-
 def _representative_blocks(q: int, kind: str) -> list[tuple[int, int]]:
     """(b, multiplicity) of the distinct blocks. Right translation by the
     diagonal torus maps block b to b t^2 (PSL) or b t (PGL), so every
@@ -670,7 +645,10 @@ def _block_report(gens) -> SpectralReport:
     action = _coset_action(gens)
     want = 5  # covers +k, -k and three more
     vals = np.concatenate([
-        np.repeat(_block_eigenvalues(action, q, b, want), min(mult, want))
+        np.repeat(
+            _largest_eigenvalues(*_real_block(action, q, b), action[0], want, _BLOCK_DENSE_LIMIT),
+            min(mult, want),
+        )
         for b, mult in _representative_blocks(q, kind)
     ])
     vals = vals[np.argsort(-np.abs(vals), kind="stable")][:want]

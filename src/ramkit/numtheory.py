@@ -20,7 +20,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n < 2^64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= 2**64:
@@ -198,12 +198,3 @@ def mobius_sieve(limit: int) -> list[int]:
             mu[k] = 0
     return mu
 
-
-def totient_sieve(limit: int) -> list[int]:
-    """phi(0..limit) as a list (phi(0) set to 0)."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi

@@ -3,9 +3,9 @@ binary-splitting kernel.
 
 Each series sums terms with a rational term ratio,
 S(n) = sum_{k<n} a(k) prod_{j<=k} p(j)/q(j), so `binsplit` sums every
-one exactly from its leaf k -> (p(k), q(k), a(k) p(k)), with
-p(0) = q(0) = 1 (Haible and Papanikolaou, "Fast multiprecision
-evaluation of series of rational numbers", ANTS 1998):
+one exactly from its leaf k -> (p(k), q(k), a(k) p(k)) (Haible and
+Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", ANTS 1998). The pi series take p(0) = q(0) = 1:
 
     madhava     pi = sqrt(12) * sum_k (-1)^k / ((2k+1) 3^k)
     machin      pi/4 = 4 arctan(1/5) - arctan(1/239)
@@ -16,7 +16,17 @@ evaluation of series of rational numbers", ANTS 1998):
                 p = (6k-5)(2k-1)(6k-1), q = 640320^3/24 k^3, a = (-1)^k L_k
 
 With p = +(2k-1) the arctan-type leaf sums atanh, for the log 2
-reference in contfrac. Term counts are fixed before the sum starts. The
+reference in contfrac. Two more leaves in contfrac sum its zeta3 and
+Catalan references, each gaining log10(4), about 0.60 digits, per
+term; their first term is p(0)/q(0) times a(0):
+
+    Apery       zeta(3) = (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 C(2n,n))
+                p = -k^3, q = 2 (k+1)^2 (2k+1), a = 1; p(0)/q(0) = 1/2
+    Lupas       G = (1/64) sum_{n>=1} c_n (40n^2 - 24n + 3), c_1 = 32/9
+                p = -32 k^3 (2k-1), q = (4k+1)^2 (4k+3)^2,
+                a = 40k^2 + 56k + 19; p(0)/q(0) = 32/9
+
+Term counts are fixed before the sum starts. The
 exact T/Q becomes value * 10^working_scale, with guard digits, once,
 and rounds half-even once at the end.
 """

@@ -1,11 +1,12 @@
 """Ramanujan sums, the tau function, Ramanujan subspaces, and
 integer-period estimation.
 
-c_q(n) is evaluated exactly through the Mobius-sum formula
+c_q(n) is evaluated exactly through Holder's closed form
 
-    c_q(n) = sum_{d | gcd(q, n)} mu(q/d) * d
+    c_q(n) = mu(m) * phi(q) / phi(m),  m = q / gcd(q, n),
 
-with the trigonometric definition kept only as a floating cross-check.
+with mu and phi read from one factorization of q, and the trigonometric
+definition kept only as a floating cross-check.
 Signal decomposition is the closed-form orthogonal projection onto the
 Ramanujan subspaces S_q, one per divisor q of the length: exact over
 the rationals for int/Fraction samples of any length, floating
@@ -19,6 +20,7 @@ from fractions import Fraction
 from . import DomainError
 from .numtheory import (
     divisors,
+    factorize,
     gcd,
     mobius,
     mobius_sieve,
@@ -31,11 +33,20 @@ _TRIG_TOLERANCE = 1e-9
 
 
 def ramanujan_sum(q: int, n: int) -> int:
-    """c_q(n), exact, via the Mobius formula over divisors of gcd(q, n)."""
+    """c_q(n), exact, by Holder's closed form mu(m) phi(q) / phi(m) with
+    m = q / gcd(q, n); every prime of m divides q."""
     if q < 1:
         raise DomainError("modulus q must be >= 1")
-    g = gcd(q, abs(n))  # c_q is even and q-periodic in n
-    return sum(mobius(q // d) * d for d in divisors(g))
+    m = q // gcd(q, abs(n))  # c_q is even and q-periodic in n
+    mu, phi_q, phi_m = 1, q, m
+    for p in factorize(q):
+        phi_q -= phi_q // p
+        if m % p == 0:
+            if m % (p * p) == 0:
+                return 0  # mu(m) = 0
+            mu = -mu
+            phi_m -= phi_m // p
+    return mu * (phi_q // phi_m)
 
 
 def ramanujan_sum_trig(q: int, n: int) -> float:
@@ -140,45 +151,6 @@ def check_sum_properties(q_max: int, n_max: int) -> SumPropertyReport:
         diagonal_sums=diagonal,
         violations=tuple(bad),
     )
-
-
-@dataclass(frozen=True)
-class CorrelationTrend:
-    """Partial averages (1/x) sum_{n<=x} c_r(n) c_s(n+h) against their limit."""
-
-    r: int
-    s: int
-    h: int
-    target: int
-    averages: tuple[float, ...]
-
-    @property
-    def moving_toward(self) -> bool:
-        errs = [abs(a - self.target) for a in self.averages]
-        return all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-
-
-def shifted_correlation_trend(
-    r: int, s: int, h: int = 0, xs: tuple[int, ...] = (1000, 10000)
-) -> CorrelationTrend:
-    """Empirical check of the density limit of (1/x) sum c_r(n) c_s(n+h).
-
-    The limit is 0 for r != s and c_r(h) for r = s (phi(r) at h = 0).
-    Only the trend is checked: the averages at increasing x must move
-    toward the limit, since no finite x can witness it.
-    """
-    if r < 1 or s < 1:
-        raise DomainError("moduli must be >= 1")
-    if not xs or any(x < 1 for x in xs) or list(xs) != sorted(xs):
-        raise DomainError("xs must be increasing positive cutoffs")
-    target = ramanujan_sum(r, h) if r == s else 0
-    cr = [ramanujan_sum(r, n) for n in range(r)]
-    cs = [ramanujan_sum(s, n) for n in range(s)]
-    averages = []
-    for x in xs:
-        total = sum(cr[n % r] * cs[(n + h) % s] for n in range(1, x + 1))
-        averages.append(total / x)
-    return CorrelationTrend(r=r, s=s, h=h, target=target, averages=tuple(averages))
 
 
 def rf_partial_sum(func: str, n: int, Q: int) -> float:
@@ -374,17 +346,6 @@ def parse_samples(text: str, csv: bool = False) -> Signal:
     return Signal(samples=tuple(values))
 
 
-def minimal_period(samples) -> int:
-    """Smallest divisor d of len(samples) with samples[i] == samples[i mod d]."""
-    n = len(samples)
-    if n < 1:
-        raise DomainError("empty sequence has no period")
-    for d in divisors(n):
-        if all(samples[i] == samples[i % d] for i in range(n)):
-            return d
-    return n
-
-
 @dataclass(frozen=True)
 class FirDecomposition:
     """x split as sum over divisors q of N of a component in the span of B_q."""
@@ -404,13 +365,19 @@ class FirDecomposition:
     def energy_fractions(self) -> dict[int, float]:
         """Share of the total energy sum |x_q[i]|^2 held by each component.
 
-        Every fraction is 0.0 for the all-zero signal.
+        Every fraction is 0.0 for the all-zero signal. An energy past
+        the float range is a DomainError, not an inf or nan fraction.
         """
-        energies = {
-            q: float(sum(abs(complex(v)) ** 2 for v in comp))
-            for q, comp in self.components.items()
-        }
-        total = sum(energies.values())
+        try:
+            energies = {
+                q: float(sum(abs(complex(v)) ** 2 for v in comp))
+                for q, comp in self.components.items()
+            }
+            total = sum(energies.values())
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise DomainError("signal energy exceeds the float range")
         return {q: (e / total if total > 0.0 else 0.0) for q, e in energies.items()}
 
 
@@ -443,7 +410,10 @@ def fir_decompose(x: Signal) -> FirDecomposition:
         values = [v.numerator * (den // v.denominator) for v in x.samples]
         den *= n
     else:
-        values = [complex(v) for v in x.samples]
+        try:
+            values = [complex(v) for v in x.samples]
+        except OverflowError:
+            raise DomainError("sample exceeds the float range") from None
         if not any(v.imag for v in values):
             values = [v.real for v in values]
     qs = divisors(n)

@@ -162,3 +162,49 @@ def test_ln_against_mpmath_at_several_scales():
                 ours = mpmath.mpf(str(ln_bd(BigDecimal.parse(text), scale)))
                 # rounded to the scale: within half a unit in the last place
                 assert abs(ours - mpmath.log(mpmath.mpf(text))) <= ulp / 2, (text, scale)
+
+
+def decimal_half_even(num: int, den: int, scale: int) -> int:
+    """Oracle: the mantissa of num/den rounded half-even to `scale`
+    fractional digits by the decimal module. The quotient carries more
+    digits than num and den together, so its own rounding cannot move
+    it across a half-ulp boundary before quantize rounds it."""
+    ctx = decimal.Context(prec=len(str(num)) + len(str(den)) + scale + 10,
+                          rounding=decimal.ROUND_HALF_EVEN)
+    q = ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
+    return int(ctx.scaleb(ctx.quantize(q, decimal.Decimal(1).scaleb(-scale)), scale))
+
+
+@st.composite
+def _ratios(draw):
+    """(num, den, scale) with scale <= 200; half of them put num/den
+    exactly halfway between two mantissas."""
+    scale = draw(st.integers(0, 200))
+    if draw(st.booleans()):
+        return draw(st.integers(-(10**200), 10**200)), draw(st.integers(1, 10**60)), scale
+    half = draw(st.integers(1, 10**60))
+    odd = 2 * draw(st.integers(-(10**60), 10**60)) + 1
+    return odd * half, 2 * half * 10**scale, scale
+
+
+@given(_ratios())
+@settings(max_examples=300)
+def test_round_half_even_agrees_with_decimal(ratio):
+    num, den, scale = ratio
+    assert round_half_even(num * 10**scale, den) == decimal_half_even(num, den, scale)
+    assert BigDecimal.from_fraction(Fraction(num, den), scale).mantissa == decimal_half_even(num, den, scale)
+
+
+@given(
+    mantissa=st.integers(-(10**200), 10**200),
+    scale=st.integers(0, 200),
+    target=st.integers(0, 200),
+    tie=st.booleans(),
+)
+@settings(max_examples=300)
+def test_at_scale_agrees_with_decimal(mantissa, scale, target, tie):
+    if tie and target < scale:
+        # a trailing 5 followed by zeros lands exactly halfway
+        mantissa = (mantissa * 10 + 5) * 10 ** (scale - target - 1)
+    x = BigDecimal(mantissa, scale)
+    assert x.at_scale(target).mantissa == decimal_half_even(mantissa, 10**scale, target)

@@ -178,6 +178,9 @@ def test_sums_table(capsys):
     assert run(["sums", "table", "--q", "6", "--n", "12", "--json"]) == 0
     out, _ = out_of(capsys)
     assert json.loads(out)["values"] == [2, 1, -1, -2, -1, 1, 2, 1, -1, -2, -1, 1]
+    # c_q(0) = phi(q) without listing the divisors of q
+    assert run(["sums", "table", "--q", "100000000000000000000", "--n", "2"]) == 0
+    assert out_of(capsys) == ("40000000000000000000 0\n", "")
 
 
 def test_sums_tau(capsys):
@@ -370,6 +373,17 @@ def test_signal_non_finite_sample(tmp_path, capsys, command, fmt):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sample, message", [
+    ("1.3407807929942597e+154", "signal energy exceeds the float range"),  # squares past 1.8e308
+    ("1" + "0" * 400, "sample exceeds the float range"),  # an int with no float value
+], ids=["float", "int"])
+def test_signal_energy_past_float_range(tmp_path, capsys, sample, message):
+    sig = tmp_path / "sig.txt"
+    sig.write_text(f"{sample}\n0.5\n")
+    assert run(["signal", "periods", "--in", str(sig)]) == 1
+    assert out_of(capsys) == ("", f"error: {message}\n")
+
+
 def test_import_leaves_numpy_unloaded():
     import os
     import subprocess
@@ -444,3 +458,58 @@ def test_cf_expand_negative_value_spelling(capsys):
     assert "expected one argument" in out_of(capsys)[1]
     assert run(["cf", "expand", "--value=-5000/127"]) == 0
     assert out_of(capsys) == ("-40 1 1 1 2 2 1 4\n", "")
+
+
+def _arg(values):
+    """An argument value: one of `values` or arbitrary short text."""
+    return st.one_of(values.map(str), st.text(max_size=6))
+
+
+def _exit_code(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+# exit 0 is an answer, 1 one `error:` line and 2 an argparse usage error;
+# a traceback fails the test
+@given(q=_arg(st.integers(-3, 60)), n=_arg(st.integers(-3, 200)))
+@settings(max_examples=100, deadline=None)
+def test_sums_table_exit_codes(q, n):
+    assert _exit_code(["sums", "table", f"--q={q}", f"--n={n}"]) in (0, 1, 2)
+
+
+@given(
+    samples=st.lists(st.one_of(st.integers(-9, 9), st.floats(-1e6, 1e6), st.floats()), max_size=60),
+    top=_arg(st.integers(-3, 70)),
+)
+@settings(max_examples=100, deadline=None)
+def test_signal_periods_exit_codes(tmp_path_factory, samples, top):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_signal.txt"
+    path.write_text("".join(f"{v!r}\n" for v in samples))
+    assert _exit_code(["signal", "periods", "--in", str(path), f"--top={top}"]) in (0, 1, 2)
+
+
+_POLY = st.lists(st.integers(-9, 9), max_size=8).map(lambda cs: ",".join(map(str, cs)))
+
+
+@given(
+    a_poly=st.one_of(_POLY, st.text(max_size=6)),
+    b_poly=st.one_of(_POLY, st.text(max_size=6)),
+    a0=_arg(st.integers(-9, 9)),
+    digits=_arg(st.integers(-3, 200)),
+    depth=_arg(st.integers(-3, 10**4)),
+)
+@settings(max_examples=100, deadline=None)
+def test_cf_eval_exit_codes(a_poly, b_poly, a0, digits, depth):
+    argv = ["cf", "eval", f"--a-poly={a_poly}", f"--b-poly={b_poly}", f"--a0={a0}",
+            f"--digits={digits}", f"--depth={depth}"]
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+_SMALL_LPS = st.one_of(st.integers(-3, 60), st.sampled_from([5, 13, 17, 29]))
+
+
+@given(p=_arg(_SMALL_LPS), q=_arg(_SMALL_LPS))
+@settings(max_examples=40, deadline=None)
+def test_graph_verify_exit_codes(p, q):
+    assert _exit_code(["graph", "verify", f"--p={p}", f"--q={q}"]) in (0, 1, 2)

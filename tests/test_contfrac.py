@@ -13,8 +13,9 @@ from ramkit import DomainError
 from ramkit.bigdec import BigDecimal, exp_bd
 from ramkit.contfrac import (
     CFSpec,
+    _apery_terms,
     _e_terms,
-    catalan_via_binomial,
+    _lupas_terms,
     eval_cf,
     gamma_bd,
     gamma_ratio_cf_check,
@@ -24,8 +25,8 @@ from ramkit.contfrac import (
     rr_series_quotient,
     simple_cf_expand,
     verify_conjecture,
-    zeta3_via_binomial,
 )
+from ramkit.bigdec import ln_bd
 from ramkit.pi_engine import guard_digits, pi_chudnovsky
 
 REFERENCE_20 = {
@@ -167,11 +168,93 @@ def test_reference_constants_10_digit_rounding():
     assert str(reference_constant("zeta3", 10)) == "1.2020569032"
 
 
+def test_apery_terms_cover_every_nonzero_term():
+    # the fixed count reaches the first term a floored loop sees vanish
+    for w in range(1, 601):
+        term, n = 10**w // 2, 1  # 10^w / (n^3 C(2n,n))
+        while term:
+            term = term * n**3 // (2 * (n + 1) ** 2 * (2 * n + 1))
+            n += 1
+        assert _apery_terms(w) >= n - 1, w
+
+
+def test_lupas_terms_cover_every_nonzero_term():
+    # the fixed count reaches the first term a floored loop sees vanish
+    def a(n):
+        return 40 * n * n - 24 * n + 3
+
+    for w in range(1, 601):
+        term, n = 10**w * 32 * a(1) // (9 * 64), 1  # 10^w |c_n| a(n) / 64
+        while term:
+            term = term * 32 * n**3 * (2 * n - 1) * a(n + 1) // (
+                (4 * n + 1) ** 2 * (4 * n + 3) ** 2 * a(n))
+            n += 1
+        assert _lupas_terms(w) >= n - 1, w
+
+
+def alternating_accel(a_den, digits: int) -> Fraction:
+    """Oracle: Chebyshev acceleration of sum_k (-1)^k / a_den(k) for
+    positive increasing a_den; error falls like (3+sqrt 8)^-n with n
+    terms."""
+    n = int(1.35 * (digits + 8)) + 4
+    dprev, d = 1, 3  # d_n = ((3+2sqrt2)^n + (3-2sqrt2)^n)/2, Pell recurrence
+    for _ in range(n - 1):
+        dprev, d = d, 6 * d - dprev
+    unit = 10 ** (digits + 12)
+    b, c, s = -1, -d, 0
+    for k in range(n):
+        c = b - c
+        s += c * unit // a_den(k)
+        b, r = divmod(2 * b * (k + n) * (k - n), (2 * k + 1) * (k + 1))
+        assert r == 0
+    return Fraction(s, d * unit)
+
+
+def catalan_via_binomial(digits: int) -> BigDecimal:
+    """Oracle: G = (pi/8) ln(2+sqrt3) + (3/8) sum_{n>=0}
+    1/(binom(2n,n)(2n+1)^2)."""
+    w = digits + 12
+    unit = 10 ** w
+    t, total, n = unit, unit, 1
+    while t:
+        t = t * n * (2 * n - 1) // (2 * (2 * n + 1) ** 2)
+        total += t
+        n += 1
+    s = BigDecimal(3 * total, w)
+    root3 = BigDecimal.from_int(3).sqrt(w + 4).at_scale(w)
+    lnpart = ln_bd(root3 + BigDecimal.from_int(2).at_scale(w), w)
+    value = pi_chudnovsky(w) * lnpart + s
+    return value.divide(BigDecimal.from_int(8), digits)
+
+
+def zeta3_via_binomial(digits: int) -> BigDecimal:
+    """Oracle: Apery's series zeta(3) = (5/2) sum (-1)^(n-1) /
+    (n^3 binom(2n,n)), summed term by term."""
+    w = digits + 12
+    unit = 10 ** w
+    t = unit // 2  # n = 1
+    total, sign, n = t, 1, 2
+    while t:
+        t = t * (n - 1) ** 3 // (2 * n * n * (2 * n - 1))
+        sign = -sign
+        total += sign * t
+        n += 1
+    return BigDecimal.from_fraction(Fraction(5 * total, 2 * unit), digits)
+
+
 def test_accelerated_sums_cross_checked():
-    # independent binomial-sum series agree with the accelerated values
-    digits = 120
-    assert str(catalan_via_binomial(digits)) == str(reference_constant("catalan", digits))
-    assert str(zeta3_via_binomial(digits)) == str(reference_constant("zeta3", digits))
+    # the accelerated alternating sums for G and (4/3) eta(3) sum in a
+    # structurally different way from the Lupas and Apery leaves
+    for digits in range(1, 501):
+        catalan = alternating_accel(lambda k: (2 * k + 1) ** 2, digits)
+        eta3 = alternating_accel(lambda k: (k + 1) ** 3, digits)
+        assert str(reference_constant("catalan", digits)) == str(
+            BigDecimal.from_fraction(catalan, digits)), digits
+        assert str(reference_constant("zeta3", digits)) == str(
+            BigDecimal.from_fraction(Fraction(4, 3) * eta3, digits)), digits
+    # and so do the binomial series
+    assert str(catalan_via_binomial(120)) == str(reference_constant("catalan", 120))
+    assert str(zeta3_via_binomial(120)) == str(reference_constant("zeta3", 120))
 
 
 def test_registry_loads_and_validates():

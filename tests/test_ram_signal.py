@@ -10,24 +10,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramkit import DomainError
-from ramkit.numtheory import gcd, totient
+from ramkit.numtheory import divisors, gcd, mobius, totient
 from ramkit.ram_signal import (
     Signal,
     check_sum_properties,
     check_tau_bound,
     estimate_periods,
     fir_decompose,
-    minimal_period,
     parse_samples,
     ramanujan_basis,
     ramanujan_sum,
     ramanujan_sum_trig,
     rf_partial_sum,
-    shifted_correlation_trend,
     tau_coefficients,
 )
 
 C6_ROW = [2, 1, -1, -2, -1, 1, 2, 1, -1, -2, -1, 1]
+
+
+def divisor_sum(q: int, n: int) -> int:
+    """Oracle: c_q(n) = sum_{d | gcd(q, n)} mu(q/d) d."""
+    return sum(mobius(q // d) * d for d in divisors(gcd(q, abs(n))))
+
+
+def minimal_period(samples) -> int:
+    """Oracle: smallest divisor d of len(samples) with
+    samples[i] == samples[i mod d]."""
+    n = len(samples)
+    return next(d for d in divisors(n) if all(samples[i] == samples[i % d] for i in range(n)))
 
 
 def test_c6_table():
@@ -43,6 +53,19 @@ def test_c_q_basics():
     assert ramanujan_sum(9, 13) == ramanujan_sum(9, 4)
     with pytest.raises(DomainError):
         ramanujan_sum(0, 3)
+
+
+def test_closed_form_matches_divisor_sum():
+    for q in range(1, 201):
+        for n in range(-3, 2 * q + 3):
+            assert ramanujan_sum(q, n) == divisor_sum(q, n), (q, n)
+
+
+def test_closed_form_needs_no_divisors_of_q():
+    # the divisor sum trial-divides gcd(q, 0) = q up to sqrt(q) = 10^10
+    assert ramanujan_sum(10**20, 0) == 4 * 10**19
+    assert ramanujan_sum(10**20, 1) == 0
+    assert ramanujan_sum(10**12 + 39, 5) == -1  # a prime q
 
 
 def test_trig_definition_agrees():
@@ -83,13 +106,23 @@ def test_orthogonality_over_lcm_period():
             assert sum(ramanujan_sum(q1, n) * ramanujan_sum(q2, n) for n in range(l)) == 0
 
 
+def shifted_correlation_trend(r: int, s: int, h: int = 0, xs=(1000, 10000)):
+    """Oracle: the limit of (1/x) sum_{n<=x} c_r(n) c_s(n+h), which is 0
+    for r != s and c_r(h) for r = s, with the averages at the cutoffs
+    xs. No finite x witnesses the limit, so only the trend is checked."""
+    target = ramanujan_sum(r, h) if r == s else 0
+    cr = [ramanujan_sum(r, n) for n in range(r)]
+    cs = [ramanujan_sum(s, n) for n in range(s)]
+    averages = [sum(cr[n % r] * cs[(n + h) % s] for n in range(1, x + 1)) / x for x in xs]
+    return target, averages
+
+
 def test_correlation_trend():
-    same = shifted_correlation_trend(6, 6, 0)
-    assert same.target == 2 and same.moving_toward
-    shifted = shifted_correlation_trend(6, 6, 2)
-    assert shifted.target == -1 and shifted.moving_toward
-    cross = shifted_correlation_trend(2, 3, 0)
-    assert cross.target == 0 and cross.moving_toward
+    for r, s, h, limit in ((6, 6, 0, 2), (6, 6, 2, -1), (2, 3, 0, 0)):
+        target, averages = shifted_correlation_trend(r, s, h)
+        errs = [abs(a - target) for a in averages]
+        assert target == limit, (r, s, h)
+        assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:])), (r, s, h)
 
 
 def test_rf_partial_sum_sigma():
