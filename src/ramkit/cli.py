@@ -153,9 +153,12 @@ def _cmd_graph_build(args) -> int:
     graph, report, meta = lps_graphs.build_lps(args.p, args.q)
     sidecar = _graph_metadata(report, args.p, args.q, meta["branch"], graph.n)
     if args.out:
-        _write_edge_list(args.out, graph)
-        with open(args.out + ".json", "w", encoding="ascii") as fh:
-            fh.write(json.dumps(sidecar) + "\n")
+        try:
+            _write_edge_list(args.out, graph)
+            with open(args.out + ".json", "w", encoding="ascii") as fh:
+                fh.write(json.dumps(sidecar) + "\n")
+        except OSError as exc:  # unwritable --out, as _read_text for --in
+            raise DomainError(f"cannot write {args.out}: {exc}") from None
     if args.json:
         _emit_json(sidecar)
     else:
@@ -330,7 +333,10 @@ def _cmd_cf_verify(args) -> int:
 def _cmd_sums_table(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
-    values = [ram_signal.ramanujan_sum(args.q, n) for n in range(args.n)]
+    # c_q(n) depends on n only through gcd(q, n): one sum per gcd met
+    gcds = [math.gcd(args.q, n) for n in range(args.n)]
+    by_gcd = {g: ram_signal.ramanujan_sum(args.q, g) for g in set(gcds)}
+    values = [by_gcd[g] for g in gcds]
     if args.json:
         _emit_json({"q": args.q, "n": args.n, "values": values})
     else:
@@ -654,11 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
     gv = gsub.add_parser(
         "verify",
         help="verify the spectrum of X^(p,q) without building it",
-        description="Solve the coset blocks of the unipotent subgroup for the "
-        "largest eigenvalues of X^(p,q); connectivity and bipartiteness are "
-        "read from the multiplicities of k and -k. A computed eigenvalue is "
-        "an eigenvalue, but the solver does not prove that no larger one "
-        "was missed.",
+        description="Solve one dense block per irreducible representation of "
+        "PGL(2,q), at most q+1 rows each, for every eigenvalue of X^(p,q) "
+        "with its multiplicity. The graph is connected when k occurs once "
+        "and bipartite when -k occurs.",
     )
     gv.add_argument("--p", type=int, required=True)
     gv.add_argument("--q", type=int, required=True)

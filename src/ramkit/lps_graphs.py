@@ -28,25 +28,29 @@ reference API: generating_set returns ProjMatrix objects, and the tests
 check the array build against their products.
 
 The spectrum of X^{p,q} comes from lps_spectrum, which never enumerates
-the group (Lubotzky-Phillips-Sarnak 1988; Terras, Zeta Functions of
-Graphs, 2011). The adjacency commutes with translation by the unipotent
-subgroup U = {[[1, x], [0, 1]]}, so it splits into q blocks M_b, one per
-character psi_b(u(x)) = exp(2 pi i b x / q) of U, each indexed by the
-cosets gU: m = (q^2-1)/2 columns up to sign (PSL) or q^2-1 normalized
-columns with a determinant (PGL). For a generator s and coset g,
-s g = g' u(x) puts psi_b(x) at M_b[g', g]; the union of the q block
-spectra is the graph's spectrum. Right translation by the diagonal
-torus makes block b isospectral to b t^2 (PSL) or b t (PGL), so only
-b = 0, b = 1 and, for PSL, one nonsquare b are solved; block 0 appears
-once and each other representative (q-1)/2 times (PSL) or q-1 times
-(PGL). Each block is turned real symmetric by an orthonormal change of
-basis (_real_block) and solved densely up to 300 rows, by Lanczos
-above. Connectivity and bipartiteness are read from the multiplicities
-of k and -k. A computed eigenvalue is an eigenvalue, but Lanczos does
-not prove that no larger one (or a second copy of k) was missed.
-build_lps builds the graph, checks connectivity and bipartiteness on it
-and takes its report from the blocks; spectral_report, the whole-graph
-eigensolve, serves edge-list files (graph check) and the tests.
+the group (Lubotzky-Phillips-Sarnak 1988; Piatetski-Shapiro, Complex
+Representations of GL(2,K) for Finite Fields K, 1983). The adjacency is
+sum_s R(s) in the right regular representation, which holds every
+irreducible representation pi of PGL(2,q) dim pi times, so the spectrum
+is the union of the spectra of the Hermitian blocks sum_s pi(s), each
+eigenvalue counted dim pi times:
+
+- principal series on the q + 1 points of P^1, one block per character
+  chi of F_q^* up to chi ~ chi^-1 (chi = 1 and the quadratic chi hold a
+  one-dimensional representation and a Steinberg representation of
+  dimension q);
+- discrete series in the Kirillov model on the q - 1 points of F_q^*,
+  one block per character theta of F_{q^2}^*/F_q^* up to theta ~
+  theta^q, with the Bessel kernel taken from one pass over F_{q^2}^*.
+
+A PSL graph uses the same blocks: the Cayley graph of PGL(2,q) on its
+generators is two copies of X^{p,q}, so every multiplicity counts half.
+Each block is solved densely, so every eigenvalue and its multiplicity
+is computed: the graph is connected when k occurs with multiplicity one
+and bipartite when -k occurs. build_lps builds the graph, checks
+connectivity and bipartiteness on it too and takes its report from the
+blocks; spectral_report, the whole-graph eigensolve, serves edge-list
+files (graph check) and the tests.
 """
 
 import itertools
@@ -55,9 +59,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import DomainError
-from .numtheory import is_prime, legendre_is_qr, mod_inverse, sqrt_mod
+from .numtheory import factorize, is_prime, legendre_is_qr, mod_inverse, sqrt_mod
 
 PGL = "PGL"
 PSL = "PSL"
@@ -431,28 +436,11 @@ def _bipartition(indptr: np.ndarray, indices: np.ndarray) -> bool:
 _DENSE_LIMIT = 2000
 
 
-def _largest_eigenvalues(rows, cols, values, n: int, how_many: int, dense_limit: int) -> np.ndarray:
-    """The how_many largest-magnitude eigenvalues of the real symmetric
-    n x n matrix with `values` at (rows, cols), duplicates adding up,
-    descending by |value|. Dense solve up to dense_limit rows, Lanczos
-    (ARPACK) above, with a seeded start vector for run-to-run
-    determinism."""
-    if n <= dense_limit:
-        a = np.zeros((n, n))
-        np.add.at(a, (rows, cols), values)
-        vals = np.linalg.eigvalsh(a)
-    else:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        a = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals = spla.eigsh(a, k=min(how_many, n - 1), which="LM", v0=v0, return_eigenvectors=False)
-    return vals[np.argsort(-np.abs(vals), kind="stable")][:how_many]
-
-
 def spectral_report(g: Graph, k: int) -> SpectralReport:
-    """Spectral summary with the Ramanujan verdict.
+    """Spectral summary with the Ramanujan verdict, from the largest
+    eigenvalues of the whole adjacency matrix: a dense solve up to
+    _DENSE_LIMIT vertices, Lanczos (ARPACK) above, with a seeded start
+    vector for run-to-run determinism.
 
     The verdict tests the nontrivial spectrum: the +k eigenvalue of a
     connected k-regular graph is always dropped, and so is the -k
@@ -468,9 +456,19 @@ def spectral_report(g: Graph, k: int) -> SpectralReport:
         raise DomainError("spectral report requires a connected graph")
     bipartite = _bipartition(indptr, indices)
     want = 4 if not bipartite else 5
-    ones = np.ones(len(indices))
-    vals = _largest_eigenvalues(_sources(indptr), indices, ones, g.n, want, _DENSE_LIMIT)
-    return _summarize(vals, k, bipartite)
+    rows = _sources(indptr)
+    if g.n <= _DENSE_LIMIT:
+        a = np.zeros((g.n, g.n))
+        np.add.at(a, (rows, indices), 1.0)
+        vals = np.linalg.eigvalsh(a)
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        a = sp.csr_matrix((np.ones(len(rows)), (rows, indices)), shape=(g.n, g.n))
+        v0 = np.random.default_rng(0).standard_normal(g.n)
+        vals = spla.eigsh(a, k=min(want, g.n - 1), which="LM", v0=v0, return_eigenvectors=False)
+    return _summarize(vals[np.argsort(-np.abs(vals), kind="stable")][:want], k, bipartite)
 
 
 def _summarize(vals: np.ndarray, k: int, bipartite: bool) -> SpectralReport:
@@ -523,160 +521,154 @@ def group_order(q: int, kind: str) -> int:
     return q * (q * q - 1) // (2 if kind == PSL else 1)
 
 
-def _coset_representatives(q: int, kind: str, inv: np.ndarray) -> np.ndarray:
-    """One matrix per coset gU of U = {[[1, x], [0, 1]]}, as (m, 4) rows
-    in the order of their _coset_keys.
+def _logarithms(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, logs) for the least primitive root g mod q: powers[e] is
+    g^e for e < q - 1 and logs[g^e] = e (entry 0 unused)."""
+    g = next(g for g in range(2, q) if all(pow(g, (q - 1) // r, q) != 1 for r in factorize(q - 1)))
+    powers = np.array([pow(g, e, q) for e in range(q - 1)], dtype=np.int64)
+    logs = np.zeros(q, dtype=np.int64)
+    logs[powers] = np.arange(q - 1)
+    return powers, logs
 
-    g u(x) = [[a, ax + b], [c, cx + d]] keeps the column (a, c) and the
-    determinant, so a coset is a column up to sign (PSL, determinant 1)
-    or a column scaled to lead with 1 together with the determinant so
-    scaled (PGL). The representative has b = 0 when a != 0 and d = 0
-    when a = 0.
+
+def _bessel(q: int, inv: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """j_m(u) = -(1/q) sum over N(t) = u of psi(Tr t) theta_m(t), as a
+    (q - 1, q + 1) array indexed by (log u, m).
+
+    t = x + y sqrt(eps) runs over F_{q^2}^*, eps the least nonsquare, with
+    N(t) = x^2 - eps y^2 and Tr(t) = 2x. theta_m is the character of the
+    cyclic group F_{q^2}^*/F_q^* of order q + 1 that takes a generator
+    to exp(-2 pi i m / (q + 1)); the class of t is the point x : y of
+    the projective line, numbered by a walk over the generator's powers.
+    One pass over F_{q^2}^* sums psi(Tr t) by norm and class (t and -t
+    share both, so the sum is real), and an FFT over the classes gives
+    every m at once.
     """
+    eps = next(t for t in range(2, q) if pow(t, (q - 1) // 2, q) == q - 1)
+    for c0 in range(q):  # until the class of c0 + sqrt(eps) generates
+        cls = np.full(q + 1, -1, dtype=np.int64)
+        x, y = 1, 0
+        for r in range(q + 1):
+            point = x * int(inv[y]) % q if y else q
+            if cls[point] >= 0:
+                break
+            cls[point] = r
+            x, y = (x * c0 + y * eps) % q, (x + y * c0) % q
+        else:
+            break
     r = np.arange(q, dtype=np.int64)
-    if kind == PSL:
-        half = r[1 : (q + 1) // 2]
-        zero = _rows(0, -inv[half] % q, half, 0)
-        a, c = (x.ravel() for x in np.meshgrid(half, r, indexing="ij"))
-        rest = _rows(a, 0, c, inv[a])
-    else:
-        zero = _rows(0, q - r[1:], 1, 0)
-        c, d = (x.ravel() for x in np.meshgrid(r, r[1:], indexing="ij"))
-        rest = _rows(1, 0, c, d)
-    return np.concatenate([zero, rest])
+    x, y = (v.ravel()[1:] for v in np.meshgrid(r, r, indexing="ij"))  # t != 0
+    point = np.where(y != 0, x * inv[y] % q, q)
+    norm = (x * x - eps * y * y) % q
+    sums = np.bincount(logs[norm] * (q + 1) + cls[point], np.cos(4 * np.pi * x / q), (q - 1) * (q + 1))
+    return -np.fft.fft(sums.reshape(q - 1, q + 1), axis=1) / q
 
 
-def _coset_keys(g: np.ndarray, q: int, kind: str, inv: np.ndarray) -> tuple:
-    """(key, x) per invertible (a, b, c, d) row of g: the base-q code of
-    the normalized column (and, for PGL, determinant) of its coset, and
-    the x with row = r u(x) for that coset's representative r."""
-    a, b, c, d = g.T
-    top = a != 0
-    lead = np.where(top, a, c)
-    x = np.where(top, b, d) * inv[lead] % q
-    if kind == PSL:
-        sign = np.where(lead > (q - 1) // 2, q - 1, 1)
-        return a * sign % q * q + c * sign % q, x
-    scale = inv[lead]
-    det = (a * d - b * c) % q * scale % q * scale % q
-    return (a * scale % q * q + c * scale % q) * q + det, x
+def _irreducible_spectrum(gens) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts): the eigenvalues of the Cayley graph of PGL(2,q)
+    on gens and their multiplicities, from one dense Hermitian block
+    sum_s pi(s) per irreducible representation pi, counted dim pi times.
 
-
-def _coset_action(gens) -> tuple:
-    """(m, rows, cols, x, pair): for coset i and generator s,
-    s g_i = g_j u(x), which puts psi_b(x) = exp(2 pi i b x / q) at
-    M_b[j, i]; the arrays run generator by generator and serve every
-    block b. pair[i] is the coset of g_i h, where h = diag(-1, 1) (PGL)
-    or diag(t, 1/t) with t^2 = -1 (PSL); h conjugates u(x) to u(-x) and
-    h^2 is trivial, so pair is an involution without fixed points."""
-    q, kind = gens[0].q, gens[0].kind
-    inv = _inverses(q)
-    reps = _coset_representatives(q, kind, inv)
-    keys = _coset_keys(reps, q, kind, inv)[0]
-    a, b, c, d = reps.T
-    rows, xs = [], []
-    for s in gens:
-        prod = np.stack(
-            [s.a * a + s.b * c, s.a * b + s.b * d, s.c * a + s.d * c, s.c * b + s.d * d],
-            axis=1,
-        ) % q
-        key, x = _coset_keys(prod, q, kind, inv)
-        rows.append(np.searchsorted(keys, key))
-        xs.append(x)
-    t = q - 1 if kind == PGL else sqrt_mod(q - 1, q)
-    u = 1 if kind == PGL else int(inv[t])
-    # g_i h is again a representative (x = 0): its b or d stays 0
-    pair = np.searchsorted(keys, _coset_keys(reps * [t, u, t, u] % q, q, kind, inv)[0])
-    m = len(reps)
-    return m, np.concatenate(rows), np.tile(np.arange(m), len(gens)), np.concatenate(xs), pair
-
-
-def _real_block(action, q: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of M_b as a real symmetric matrix.
-
-    J f = conj(f(. h)) maps block b to itself, commutes with it and
-    squares to 1, so M_b is real in the orthonormal basis
-    (e_i + e_pair(i))/sqrt(2), i (e_i - e_pair(i))/sqrt(2) over the pairs
-    i < pair(i): the first half of the rows and columns takes the sums,
-    the second half the differences. Duplicate entries add up.
+    Principal series, on the q + 1 points of P^1, one block per
+    character chi of F_q^* up to chi ~ chi^-1: s sends the point v_x =
+    (x, 1) or (1, 0) to alpha v_y and puts chi(alpha^2 / det s) at
+    [y, x]. For chi = 1 and the quadratic chi the block holds the
+    one-dimensional 1 or sign, with eigenvalue sum_s chi(det s), once,
+    and a Steinberg representation of dimension q.
+    Discrete series, on F_q^* indexed by log x (the Kirillov model), one
+    block per theta_m, m = 1 .. (q-1)/2: s = [[a, b], [0, d]] puts
+    psi(b x / d) at [x, a x / d], and s = n(a/c) w [[-c, -d], [0, -det/c]]
+    puts psi(a x / c) j_m(det x z / c^2) psi(d z / c) at [x, z]; as z runs
+    the j factor is a Hankel matrix in log x + log z, shared by the
+    generators with one det / c^2.
     """
-    m, rows, cols, x, pair = action
-    half = m // 2
-    first = np.flatnonzero(np.arange(m) < pair)
-    pos = np.empty(m, dtype=np.int64)
-    pos[first] = pos[pair[first]] = np.arange(half)
-    sign = np.where(np.arange(m) < pair, 0.5, -0.5)
-    theta = 2 * np.pi * (b * x % q) / q
-    re, im = np.cos(theta), np.sin(theta)
-    pr, pc, sr, sc = pos[rows], pos[cols], sign[rows], sign[cols]
-    return (
-        np.concatenate([pr, pr, pr + half, pr + half]),
-        np.concatenate([pc, pc + half, pc, pc + half]),
-        np.concatenate([re / 2, -im * sc, im * sr, 2 * re * sr * sc]),
-    )
+    q, n = gens[0].q, gens[0].q - 1
+    inv = _inverses(q)
+    powers, logs = _logarithms(q)
+    a, b, c, d = np.array([s.entries() for s in gens]).T
+    det = (a * d - b * c) % q
+    vals, counts = [], []
+
+    x = np.arange(q + 1)
+    v0, v1 = np.where(x < q, x, 1), (x < q).astype(np.int64)
+    top = (np.outer(a, v0) + np.outer(b, v1)) % q
+    bot = (np.outer(c, v0) + np.outer(d, v1)) % q
+    cell = (np.where(bot != 0, top * inv[bot] % q, q) * (q + 1) + x).ravel()
+    power = ((2 * logs[np.where(bot != 0, bot, top)] - logs[det][:, None]) % n).ravel()
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for j in range(q // 2 + 1):
+        z = roots[j * power % n]
+        block = np.bincount(cell, z.real, (q + 1) ** 2) + 1j * np.bincount(cell, z.imag, (q + 1) ** 2)
+        vals.append(np.linalg.eigvalsh(block.reshape(q + 1, q + 1)))
+        if 0 < 2 * j < n:
+            counts.append(np.full(q + 1, q + 1))
+        else:
+            one = np.argmin(np.abs(vals[-1] - roots[j * logs[det] % n].real.sum()))
+            counts.append(np.where(x == one, 1, q))
+
+    psi = np.exp(2j * np.pi * np.arange(q) / q)
+    e = np.arange(n)
+    low = c == 0
+    base = np.zeros((n, n), dtype=complex)
+    over_d = inv[d[low]][:, None]
+    np.add.at(base, (e, (e + logs[a[low][:, None] * over_d % q]) % n), psi[b[low][:, None] * over_d * powers % q])
+    over_c = inv[c[~low]][:, None]
+    left = psi[a[~low][:, None] * over_c * powers % q]
+    right = psi[d[~low][:, None] * over_c * powers % q]
+    shift = logs[det[~low] * inv[c[~low]] ** 2 % q]
+    shifts = np.unique(shift)
+    parts = np.array([left[shift == t].T @ right[shift == t] for t in shifts])
+    bessel = _bessel(q, inv, logs)
+    for m in range(1, q // 2 + 1):
+        hankel = sliding_window_view(np.tile(bessel[:, m], 3), n)[shifts[:, None] + e]
+        vals.append(np.linalg.eigvalsh(base + np.einsum("tij,tij->ij", parts, hankel)))
+        counts.append(np.full(n, n))
+    return np.concatenate(vals), np.concatenate(counts)
 
 
-# dense and Lanczos cost the same between 288 rows (dense 15 ms, Lanczos
-# 16 ms) and 420 rows (45 and 43 ms), measured on a 2-vCPU VM
-_BLOCK_DENSE_LIMIT = 300
-
-
-def _representative_blocks(q: int, kind: str) -> list[tuple[int, int]]:
-    """(b, multiplicity) of the distinct blocks. Right translation by the
-    diagonal torus maps block b to b t^2 (PSL) or b t (PGL), so every
-    nonzero block matches b = 1 or, for PSL, the least nonsquare."""
-    if kind == PGL:
-        return [(0, 1), (1, q - 1)]
-    nonsquare = next(t for t in range(2, q) if pow(t, (q - 1) // 2, q) == q - 1)
-    return [(0, 1), (1, (q - 1) // 2), (nonsquare, (q - 1) // 2)]
-
-
-# peak memory grows about linearly: lps_spectrum(5, 401), 80,400 block
-# rows, peaks at 173 MB; build_lps(5, 113), 1,442,784 vertices, at 503 MB
-_SPECTRUM_ROW_LIMIT = 150_000
+# X^(5,401) takes 15 s and X^(5,593) 57 s (time grows like q^4); the
+# discrete-series tables hold at most (p+1)(q+1)^2 complex entries.
+# build_lps(5, 113), 1,442,784 vertices, peaks at 503 MB
+_SPECTRUM_Q_LIMIT = 600
+_SPECTRUM_ENTRY_LIMIT = 1 << 22
 _BUILD_VERTEX_LIMIT = 1_500_000
 
 
-def _block_report(gens) -> SpectralReport:
-    """The spectral report of the Cayley graph of gens from the largest
-    eigenvalues of the representative coset blocks."""
-    q, kind = gens[0].q, gens[0].kind
-    k = len(gens)
-    action = _coset_action(gens)
-    want = 5  # covers +k, -k and three more
-    vals = np.concatenate([
-        np.repeat(
-            _largest_eigenvalues(*_real_block(action, q, b), action[0], want, _BLOCK_DENSE_LIMIT),
-            min(mult, want),
+def _check_spectrum_size(p: int, q: int) -> None:
+    if q > _SPECTRUM_Q_LIMIT:
+        raise DomainError(
+            f"X^({p},{q}) has blocks of {q + 1} rows; the limit is q <= {_SPECTRUM_Q_LIMIT}"
         )
-        for b, mult in _representative_blocks(q, kind)
-    ])
-    vals = vals[np.argsort(-np.abs(vals), kind="stable")][:want]
-    # an eigenvalue k of multiplicity one is connectivity; -k is bipartiteness
-    if np.count_nonzero(np.abs(vals - k) < 1e-8) != 1:
+    if (p + 1) * (q + 1) ** 2 > _SPECTRUM_ENTRY_LIMIT:
+        raise DomainError(
+            f"X^({p},{q}) has {p + 1} generators on blocks of {q + 1} rows; "
+            f"the limit is (p+1)(q+1)^2 <= {_SPECTRUM_ENTRY_LIMIT}"
+        )
+
+
+def _irreducible_report(gens) -> SpectralReport:
+    """The spectral report of the Cayley graph of gens from its
+    irreducible blocks. For PSL gens the Cayley graph of PGL(2,q) is two
+    copies of X^{p,q}, so every multiplicity counts half."""
+    k = len(gens)
+    scale = 2 if gens[0].kind == PSL else 1
+    vals, counts = _irreducible_spectrum(gens)
+    top, bottom = np.abs(vals - k) < 1e-8, np.abs(vals + k) < 1e-8
+    # k of multiplicity one is connectivity; -k is bipartiteness
+    if counts[top].sum() != scale:
         raise DomainError("spectral report requires a connected graph")
-    bipartite = bool(np.count_nonzero(np.abs(vals + k) < 1e-8))
-    return _summarize(vals, k, bipartite)
+    rest = vals[~(top | bottom)]
+    head = [vals[top][0], *vals[bottom][:1], rest[np.argmax(np.abs(rest))]]
+    return _summarize(np.array(sorted(head, key=abs, reverse=True)), k, bool(bottom.any()))
 
 
 def lps_spectrum(p: int, q: int) -> SpectralReport:
-    """Spectral summary of X^{p,q} from the coset blocks of U, without
-    enumerating the group.
-
-    The adjacency commutes with translation by U, so the spectrum is the
-    union of q blocks M_b of m = (q^2-1)/2 (PSL) or q^2-1 (PGL) rows, one
-    per character psi_b of U. Only blocks 0 and 1, and for PSL one
-    nonsquare b, are solved; the nonzero ones stand for (q-1)/2 (PSL) or
-    q-1 (PGL) blocks each. Connectivity and bipartiteness are read from
-    the spectrum: k occurs once, and -k once when the graph is bipartite.
-    """
-    gens = generating_set(p, q)
-    m = group_order(q, gens[0].kind) // q
-    if m > _SPECTRUM_ROW_LIMIT:
-        raise DomainError(
-            f"X^({p},{q}) has coset blocks of {m} rows; the limit is {_SPECTRUM_ROW_LIMIT}"
-        )
-    return _block_report(gens)
+    """Spectral summary of X^{p,q} from the irreducible representations
+    of PGL(2,q), without enumerating the group: about q dense blocks of
+    at most q + 1 rows."""
+    _check_lps_args(p, q)
+    _check_spectrum_size(p, q)
+    return _irreducible_report(generating_set(p, q))
 
 
 def build_lps(p: int, q: int) -> tuple[Graph, SpectralReport, dict]:
@@ -694,11 +686,12 @@ def build_lps(p: int, q: int) -> tuple[Graph, SpectralReport, dict]:
             f"X^({p},{q}) has {n} vertices; graph build handles at most "
             f"{_BUILD_VERTEX_LIMIT} (graph verify checks the spectrum alone)"
         )
+    _check_spectrum_size(p, q)
     elements = enumerate_group(q, kind)
     graph = cayley_graph(elements, gens)
     if not is_connected(graph):
         raise DomainError(f"X^({p},{q}) is not connected")
-    report = _block_report(gens)
+    report = _irreducible_report(gens)
     if report.bipartite != _bipartition(*graph.csr()):
         raise DomainError("graph and spectrum disagree on bipartiteness")
     metadata = {

@@ -183,6 +183,17 @@ def test_sums_table(capsys):
     assert out_of(capsys) == ("40000000000000000000 0\n", "")
 
 
+def test_sums_table_sums_once_per_gcd(monkeypatch, capsys):
+    # c_q(n) depends on n only through gcd(q, n); for a prime q the row
+    # meets two gcds, so q is factorized twice, not once per value
+    calls = []
+    factorize = ram_signal.factorize
+    monkeypatch.setattr(ram_signal, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert run(["sums", "table", "--q", "1000000000039", "--n", "10"]) == 0
+    assert out_of(capsys) == ("1000000000038" + " -1" * 9 + "\n", "")
+    assert len(calls) <= 2
+
+
 def test_sums_tau(capsys):
     assert run(["sums", "tau", "--max", "5"]) == 0
     out, _ = out_of(capsys)
@@ -223,6 +234,14 @@ def test_graph_build_sidecar(built_graph):
     assert payload["is_ramanujan"] is True
     sidecar = json.loads((path.parent / (path.name + ".json")).read_text())
     assert sidecar == payload
+
+
+def test_graph_build_unwritable_out_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "taken.txt.json").mkdir()  # the sidecar cannot be written
+    for out in (tmp_path / "missing" / "x.txt", tmp_path / "taken.txt"):
+        assert run(["graph", "build", "--p", "5", "--q", "13", "--out", str(out)]) == 1
+        stdout, err = out_of(capsys)
+        assert stdout == "" and err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
 def test_graph_edge_list_format(built_graph):
@@ -513,3 +532,10 @@ _SMALL_LPS = st.one_of(st.integers(-3, 60), st.sampled_from([5, 13, 17, 29]))
 @settings(max_examples=40, deadline=None)
 def test_graph_verify_exit_codes(p, q):
     assert _exit_code(["graph", "verify", f"--p={p}", f"--q={q}"]) in (0, 1, 2)
+
+
+@given(p=_arg(_SMALL_LPS), q=_arg(_SMALL_LPS))
+@settings(max_examples=40, deadline=None)
+def test_graph_build_exit_codes(tmp_path_factory, p, q):
+    out = tmp_path_factory.getbasetemp() / "fuzzed_graph.txt"
+    assert _exit_code(["graph", "build", f"--p={p}", f"--q={q}", f"--out={out}"]) in (0, 1, 2)

@@ -89,6 +89,23 @@ def test_simple_cf_expand_rational():
     assert list(res2.coeffs) == [3, 2]
 
 
+@given(
+    num=st.integers(-10**30, 10**30),
+    den=st.integers(1, 10**30),
+)
+@settings(max_examples=300)
+def test_simple_cf_expand_folds_back_to_the_fraction(num, den):
+    x = Fraction(num, den)
+    res = simple_cf_expand(x, 1000)  # a denominator below 10^30 needs at most 146 terms
+    assert not res.truncated
+    assert all(a >= 1 for a in res.coeffs[1:])
+    assert len(res.coeffs) == 1 or res.coeffs[-1] >= 2  # canonical
+    value = Fraction(res.coeffs[-1])
+    for a in reversed(res.coeffs[:-1]):
+        value = a + 1 / value
+    assert value == x
+
+
 def test_simple_cf_expand_pi_and_e():
     pi40 = reference_constant("pi", 40)
     assert list(simple_cf_expand(pi40, 5).coeffs) == [3, 7, 15, 1, 292]

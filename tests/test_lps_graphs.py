@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,19 +14,21 @@ from ramkit.lps_graphs import (
     FourSquares,
     Graph,
     ProjMatrix,
-    _coset_action,
-    _real_block,
-    _representative_blocks,
+    _inverses,
+    _irreducible_spectrum,
+    _rows,
     build_lps,
     cayley_graph,
     enumerate_group,
     expansion_constant,
     four_square_solutions,
     generating_set,
+    group_order,
     is_connected,
     lps_spectrum,
     spectral_report,
 )
+from ramkit.numtheory import is_prime, sqrt_mod
 
 # the X^(5,29) generating set in its two printed normalizations: the
 # raw four-squares matrices S (det 5) and the rescaled S' (det 1)
@@ -315,6 +318,141 @@ def dense_spectrum(n: int, rows, cols, values) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
+@lru_cache(maxsize=None)
+def whole_graph_spectrum(p: int, q: int) -> np.ndarray:
+    graph = build_lps(p, q)[0]
+    sources = np.repeat(np.arange(graph.n), p + 1)
+    return dense_spectrum(graph.n, sources, graph.adjacency.ravel(), 1.0)
+
+
+def irreducible_union(p: int, q: int) -> np.ndarray:
+    """The sorted spectrum of the Cayley graph of PGL(2,q) on the
+    generators of X^(p,q): X itself for PGL, two copies of it for PSL."""
+    vals, counts = _irreducible_spectrum(generating_set(p, q))
+    return np.sort(np.repeat(vals, counts))
+
+
+# -- oracle: blocks of the characters of the unipotent subgroup U ------------
+#
+# The adjacency commutes with translation by U = {[[1, x], [0, 1]]}, so it
+# splits into q blocks M_b, one per character psi_b(u(x)) = exp(2 pi i b x / q)
+# of U, indexed by the cosets gU; the union of the block spectra is the
+# graph's spectrum. It shares nothing with the irreducible blocks but
+# generating_set and the array helpers _inverses and _rows.
+
+
+def _coset_representatives(q: int, kind: str, inv: np.ndarray) -> np.ndarray:
+    """One matrix per coset gU of U = {[[1, x], [0, 1]]}, as (m, 4) rows
+    in the order of their _coset_keys.
+
+    g u(x) = [[a, ax + b], [c, cx + d]] keeps the column (a, c) and the
+    determinant, so a coset is a column up to sign (PSL, determinant 1)
+    or a column scaled to lead with 1 together with the determinant so
+    scaled (PGL). The representative has b = 0 when a != 0 and d = 0
+    when a = 0.
+    """
+    r = np.arange(q, dtype=np.int64)
+    if kind == PSL:
+        half = r[1 : (q + 1) // 2]
+        zero = _rows(0, -inv[half] % q, half, 0)
+        a, c = (x.ravel() for x in np.meshgrid(half, r, indexing="ij"))
+        rest = _rows(a, 0, c, inv[a])
+    else:
+        zero = _rows(0, q - r[1:], 1, 0)
+        c, d = (x.ravel() for x in np.meshgrid(r, r[1:], indexing="ij"))
+        rest = _rows(1, 0, c, d)
+    return np.concatenate([zero, rest])
+
+
+def _coset_keys(g: np.ndarray, q: int, kind: str, inv: np.ndarray) -> tuple:
+    """(key, x) per invertible (a, b, c, d) row of g: the base-q code of
+    the normalized column (and, for PGL, determinant) of its coset, and
+    the x with row = r u(x) for that coset's representative r."""
+    a, b, c, d = g.T
+    top = a != 0
+    lead = np.where(top, a, c)
+    x = np.where(top, b, d) * inv[lead] % q
+    if kind == PSL:
+        sign = np.where(lead > (q - 1) // 2, q - 1, 1)
+        return a * sign % q * q + c * sign % q, x
+    scale = inv[lead]
+    det = (a * d - b * c) % q * scale % q * scale % q
+    return (a * scale % q * q + c * scale % q) * q + det, x
+
+
+def _coset_action(gens) -> tuple:
+    """(m, rows, cols, x, pair): for coset i and generator s,
+    s g_i = g_j u(x), which puts psi_b(x) = exp(2 pi i b x / q) at
+    M_b[j, i]; the arrays run generator by generator and serve every
+    block b. pair[i] is the coset of g_i h, where h = diag(-1, 1) (PGL)
+    or diag(t, 1/t) with t^2 = -1 (PSL); h conjugates u(x) to u(-x) and
+    h^2 is trivial, so pair is an involution without fixed points."""
+    q, kind = gens[0].q, gens[0].kind
+    inv = _inverses(q)
+    reps = _coset_representatives(q, kind, inv)
+    keys = _coset_keys(reps, q, kind, inv)[0]
+    a, b, c, d = reps.T
+    rows, xs = [], []
+    for s in gens:
+        prod = np.stack(
+            [s.a * a + s.b * c, s.a * b + s.b * d, s.c * a + s.d * c, s.c * b + s.d * d],
+            axis=1,
+        ) % q
+        key, x = _coset_keys(prod, q, kind, inv)
+        rows.append(np.searchsorted(keys, key))
+        xs.append(x)
+    t = q - 1 if kind == PGL else sqrt_mod(q - 1, q)
+    u = 1 if kind == PGL else int(inv[t])
+    # g_i h is again a representative (x = 0): its b or d stays 0
+    pair = np.searchsorted(keys, _coset_keys(reps * [t, u, t, u] % q, q, kind, inv)[0])
+    m = len(reps)
+    return m, np.concatenate(rows), np.tile(np.arange(m), len(gens)), np.concatenate(xs), pair
+
+
+def _real_block(action, q: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of M_b as a real symmetric matrix.
+
+    J f = conj(f(. h)) maps block b to itself, commutes with it and
+    squares to 1, so M_b is real in the orthonormal basis
+    (e_i + e_pair(i))/sqrt(2), i (e_i - e_pair(i))/sqrt(2) over the pairs
+    i < pair(i): the first half of the rows and columns takes the sums,
+    the second half the differences. Duplicate entries add up.
+    """
+    m, rows, cols, x, pair = action
+    half = m // 2
+    first = np.flatnonzero(np.arange(m) < pair)
+    pos = np.empty(m, dtype=np.int64)
+    pos[first] = pos[pair[first]] = np.arange(half)
+    sign = np.where(np.arange(m) < pair, 0.5, -0.5)
+    theta = 2 * np.pi * (b * x % q) / q
+    re, im = np.cos(theta), np.sin(theta)
+    pr, pc, sr, sc = pos[rows], pos[cols], sign[rows], sign[cols]
+    return (
+        np.concatenate([pr, pr, pr + half, pr + half]),
+        np.concatenate([pc, pc + half, pc, pc + half]),
+        np.concatenate([re / 2, -im * sc, im * sr, 2 * re * sr * sc]),
+    )
+
+
+
+
+def coset_block_spectrum(p: int, q: int) -> np.ndarray:
+    """The sorted spectrum of X^(p,q) from dense solves of its coset
+    blocks: right translation by the diagonal torus makes block b
+    isospectral to b t (PGL) or b t^2 (PSL), so block 0 counts once and
+    block 1 and, for PSL, a nonsquare block stand for the rest."""
+    gens = generating_set(p, q)
+    action = _coset_action(gens)
+    if gens[0].kind == PGL:
+        reps = [(0, 1), (1, q - 1)]
+    else:
+        nonsquare = next(t for t in range(2, q) if pow(t, (q - 1) // 2, q) == q - 1)
+        reps = [(0, 1), (1, (q - 1) // 2), (nonsquare, (q - 1) // 2)]
+    return np.sort(np.concatenate([
+        np.repeat(dense_spectrum(action[0], *_real_block(action, q, b)), mult) for b, mult in reps
+    ]))
+
+
 @pytest.mark.parametrize("p,q", [(17, 13), (29, 13), (5, 13)])
 def test_coset_blocks_union_is_whole_graph_spectrum(p, q):
     gens = generating_set(p, q)
@@ -322,20 +460,70 @@ def test_coset_blocks_union_is_whole_graph_spectrum(p, q):
     assert action[0] == len(enumerate_group(q, gens[0].kind)) // q
     blocks = {b: dense_spectrum(action[0], *_real_block(action, q, b)) for b in range(q)}
     union = np.sort(np.concatenate(list(blocks.values())))
-    graph = build_lps(p, q)[0]
-    sources = np.repeat(np.arange(graph.n), p + 1)
-    whole = dense_spectrum(graph.n, sources, graph.adjacency.ravel(), 1.0)
+    whole = whole_graph_spectrum(p, q)
     assert len(union) == len(whole)
     assert np.max(np.abs(union - whole)) < 1e-9
     # every block repeats the spectrum of the representative of its class:
     # b = 0, b a nonzero square (the whole of F_q^* for PGL), b a nonsquare
-    reps = _representative_blocks(q, gens[0].kind)
-    assert [mult for _, mult in reps] == ([1, q - 1] if gens[0].kind == PGL else
-                                          [1, (q - 1) // 2, (q - 1) // 2])
     squares = {t * t % q for t in range(1, q)}
+    nonsquare = min(set(range(1, q)) - squares)
     for b, spectrum in blocks.items():
-        cls = 0 if b == 0 else 1 if gens[0].kind == PGL or b in squares else 2
-        assert np.max(np.abs(spectrum - blocks[reps[cls][0]])) < 1e-9, b
+        rep = 0 if b == 0 else 1 if gens[0].kind == PGL or b in squares else nonsquare
+        assert np.max(np.abs(spectrum - blocks[rep])) < 1e-9, b
+    assert np.max(np.abs(coset_block_spectrum(p, q) - whole)) < 1e-9
+
+
+@pytest.mark.parametrize("p,q", [(17, 13), (5, 13), (29, 13)])
+def test_irreducible_union_is_whole_graph_spectrum(p, q):
+    union = irreducible_union(p, q)
+    scale = 2 if generating_set(p, q)[0].kind == PSL else 1
+    whole = np.sort(np.repeat(whole_graph_spectrum(p, q), scale))
+    assert len(union) == len(whole)
+    assert np.max(np.abs(union - whole)) < 1e-9
+
+
+@pytest.mark.parametrize("p,q", [(5, 17), (5, 37), (13, 37), (13, 17), (5, 29), (5, 41), (37, 41)])
+def test_irreducible_union_matches_coset_blocks(p, q):
+    oracle = coset_block_spectrum(p, q)
+    scale = 2 if generating_set(p, q)[0].kind == PSL else 1
+    union = irreducible_union(p, q)
+    assert len(union) == scale * len(oracle)
+    assert np.max(np.abs(union - np.repeat(oracle, scale))) < 1e-9
+
+
+def test_lps_path_runs_no_lanczos(monkeypatch):
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK called on the LPS path")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    graph, report, _ = build_lps(5, 37)
+    assert graph.n == 50616 and report.bipartite and report.is_ramanujan
+    assert lps_spectrum(5, 61).is_ramanujan
+
+
+def valid_lps_pairs(q_max: int):
+    for q in range(13, q_max + 1, 4):
+        for p in range(5, q * q // 4 + 1, 4):
+            if p != q and is_prime(p) and is_prime(q) and q * q > 4 * p:
+                yield p, q
+
+
+def test_irreducible_spectrum_trace_identities():
+    # the traces of A^0, A and A^2: |G| vertices, no loops, and p + 1
+    # closed walks of length two from each vertex; no representation
+    # theory, so these reach q where no whole-graph solve can
+    pairs = list(valid_lps_pairs(61))
+    assert len(pairs) == 234 and (929, 61) in pairs
+    for p, q in pairs:
+        gens = generating_set(p, q)
+        vals, counts = _irreducible_spectrum(gens)
+        mult = counts / (2 if gens[0].kind == PSL else 1)
+        size = group_order(q, gens[0].kind)
+        assert mult.sum() == size, (p, q)
+        assert abs(mult @ vals) <= 1e-6 * size, (p, q)
+        assert abs(mult @ vals**2 - size * (p + 1)) <= 1e-6 * size * (p + 1), (p, q)
 
 
 @pytest.mark.parametrize("q", [29, 37])
@@ -350,7 +538,7 @@ def test_lps_spectrum_matches_whole_graph_lanczos(q):
 
 
 def test_lps_spectrum_is_deterministic():
-    for p, q in ((13, 17), (5, 37)):  # a dense and a Lanczos block solve
+    for p, q in ((13, 17), (5, 37)):
         assert lps_spectrum(p, q) == lps_spectrum(p, q)
 
 
@@ -361,6 +549,10 @@ def test_lps_size_guard_raises_before_allocating():
             build_lps(5, 1009)
         with pytest.raises(DomainError, match="rows"):
             lps_spectrum(5, 1009)
+        # p near q^2 / 4: too many generators for the discrete-series tables
+        for p, q in ((40193, 401), (2549, 101), (29, 401)):
+            with pytest.raises(DomainError, match="generators"):
+                lps_spectrum(p, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
