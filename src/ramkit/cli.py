@@ -16,7 +16,9 @@ from . import DomainError, contfrac, pi_engine, ram_signal
 from .bigdec import BigDecimal
 
 # lps_graphs (and with it numpy) is imported inside the graph commands
-# and graph self-checks only, so the other commands start without it.
+# and graph self-checks only, so the other commands start without it;
+# graph check imports it once its file has been read and parsed, so an
+# unreadable file fails without it too.
 
 _PI_42 = "3.141592653589793238462643383279502884197169"
 _C6_ROW = (2, 1, -1, -2, -1, 1, 2, 1, -1, -2, -1, 1)
@@ -120,8 +122,6 @@ def _read_text(path: str) -> str:
 
 
 def _read_edge_list(path: str):
-    from . import lps_graphs
-
     tokens = _read_text(path).split()
     if len(tokens) < 2:
         raise DomainError(f"{path}: missing edge-list header")
@@ -144,6 +144,8 @@ def _read_edge_list(path: str):
             adjacency[v].append(u)
     for lst in adjacency:
         lst.sort()
+    from . import lps_graphs
+
     return lps_graphs.Graph(n=n, adjacency=adjacency)
 
 
@@ -171,9 +173,9 @@ def _cmd_graph_build(args) -> int:
 
 
 def _cmd_graph_check(args) -> int:
+    graph = _read_edge_list(args.infile)
     from . import lps_graphs
 
-    graph = _read_edge_list(args.infile)
     report = lps_graphs.spectral_report(graph, args.degree)
     payload = {
         "vertices": graph.n,

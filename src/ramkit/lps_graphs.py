@@ -12,16 +12,19 @@ The build runs on integer arrays, not one Python object per element:
 - enumerate_group returns the group as an (n, 4) int64 array of
   canonical (a, b, c, d) rows in lexicographic order, which is also the
   numeric order of the base-q codes ((a*q + b)*q + c)*q + d.
-- cayley_graph multiplies every element by one generator at a time,
+- cayley_graph matches every generator with its inverse and computes
+  one column per pair: it multiplies every element by the generator,
   canonicalizes the products row-wise and finds them by searchsorted on
-  the codes. The result is an (n, k) int32 neighbor array with sorted
-  rows; read row-major it is the indices of a CSR matrix whose indptr is
-  k * arange(n + 1).
+  the codes. Right multiplication by s^-1 undoes right multiplication by
+  s, so the partner's column is the inverse permutation, and the
+  adjacency is symmetric by construction. The result is an (n, k) int32
+  neighbor array with sorted rows; read row-major it is the indices of
+  a CSR matrix whose indptr is k * arange(n + 1).
 - Graph also accepts per-vertex neighbor lists (edge-list files, small
   test graphs). Graph.csr() gives (indptr, indices) for either form, and
-  the degree, symmetry, connectivity and bipartiteness checks and the
-  dense and sparse matrix assembly all read that pair, with breadth-first
-  search advancing one whole frontier per numpy step.
+  the degree, connectivity and bipartiteness checks and the dense and
+  sparse matrix assembly all read that pair, with breadth-first search
+  advancing one whole frontier per numpy step.
 
 cayley_graph takes only that array form. ProjMatrix is the per-element
 reference API: generating_set returns ProjMatrix objects, and the tests
@@ -42,6 +45,14 @@ eigenvalue counted dim pi times:
 - discrete series in the Kirillov model on the q - 1 points of F_q^*,
   one block per character theta of F_{q^2}^*/F_q^* up to theta ~
   theta^q, with the Bessel kernel taken from one pass over F_{q^2}^*.
+
+Only half of the blocks are solved. Twisting by sign(det) pairs the
+blocks, and on the generators, whose determinants all lie in one square
+class, pi (x) sign acts as pi (PSL) or -pi (PGL): the twin of a solved
+block takes its eigenvalues or their negatives. Each discrete-series
+block H satisfies conj(H) = P H P for the involution P: x -> -x, which
+makes it unitarily equal to a real symmetric matrix of the same order,
+and that is what is solved.
 
 A PSL graph uses the same blocks: the Cayley graph of PGL(2,q) on its
 generators is two copies of X^{p,q}, so every multiplicity counts half.
@@ -194,15 +205,6 @@ def _sources(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def _check_symmetric(indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Every edge (u, v) appears as often as (v, u)."""
-    n = len(indptr) - 1
-    u = _sources(indptr)
-    v = indices.astype(np.int64)
-    if not np.array_equal(np.sort(u * n + v), np.sort(v * n + u)):
-        raise DomainError("asymmetric adjacency")
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Eigenvalue summary of a connected k-regular graph.
@@ -308,15 +310,16 @@ def _codes(m: np.ndarray, q: int) -> np.ndarray:
     return ((m[:, 0] * q + m[:, 1]) * q + m[:, 2]) * q + m[:, 3]
 
 
-def _canonical_rows(m: np.ndarray, q: int, kind: str, inv: np.ndarray) -> np.ndarray:
+def _canonical_rows(m: np.ndarray, q: int, kind: str, inv: np.ndarray, mod_q: np.ndarray) -> np.ndarray:
     """ProjMatrix.canonical row by row, for invertible (n, 4) arrays
-    with entries in [0, q) (and determinant 1 for PSL). m is modified."""
+    with entries in [0, q) (and determinant 1 for PSL); mod_q is the
+    table of x mod q for 0 <= x < 2q^2. m is modified."""
     # an invertible matrix has a nonzero top row, so a or b leads
     first = np.where(m[:, 0] != 0, m[:, 0], m[:, 1])
     if kind == PGL:
-        return m * inv[first][:, None] % q
+        return mod_q[m * inv[first][:, None]]
     flip = first > (q - 1) // 2
-    m[flip] = (q - m[flip]) % q
+    m[flip] = mod_q[q - m[flip]]
     return m
 
 
@@ -354,16 +357,38 @@ def enumerate_group(q: int, kind: str) -> np.ndarray:
     return np.concatenate([zero, rest])
 
 
+def _inverse_pairs(gens) -> list[tuple[int, int]]:
+    """(j, i) with gens[i] the inverse of gens[j], every index in exactly
+    one pair; a self-inverse generator pairs with itself. A generator
+    left without its inverse makes the edge relation directed, which
+    raises DomainError."""
+    waiting, pairs = {}, []
+    for i, s in enumerate(gens):
+        t = s.inverse()
+        if waiting.get(t):
+            pairs.append((waiting[t].pop(), i))
+        elif t == s:
+            pairs.append((i, i))
+        else:
+            waiting.setdefault(s, []).append(i)
+    if any(waiting.values()):
+        raise DomainError("asymmetric adjacency")
+    return pairs
+
+
 def cayley_graph(elements: np.ndarray, gens) -> Graph:
     """Cayley graph: one edge (g, g*s) per element g and generator s, as
     an (n, k) neighbor array with sorted rows.
 
     elements is the (n, 4) array of canonical entry rows in lexicographic
     order that enumerate_group returns, and gens are ProjMatrix objects
-    of one group. Every product is canonicalized row-wise and located by
-    searchsorted on the base-q codes. The generator set must be symmetric
-    (closed under inverse), which is what makes the adjacency an
-    undirected multigraph; an asymmetric one raises DomainError.
+    of one group. The generator list must be symmetric (closed under
+    inverse, with multiplicity), which is what makes the adjacency an
+    undirected multigraph; an asymmetric one raises DomainError. Each
+    generator is matched with its inverse, and one of each pair is
+    computed: every product is canonicalized row-wise and located by
+    searchsorted on the base-q codes. The partner's column is the
+    inverse permutation, so the adjacency is symmetric by construction.
     """
     if not gens:
         raise DomainError("empty generating set")
@@ -373,6 +398,8 @@ def cayley_graph(elements: np.ndarray, gens) -> Graph:
     elements = np.asarray(elements, dtype=np.int64)
     if elements.ndim != 2 or elements.shape[1] != 4 or len(elements) == 0:
         raise DomainError("elements must be a nonempty (n, 4) entry array")
+    if elements.min() < 0 or elements.max() >= q:
+        raise DomainError(f"element entries must lie in [0, {q})")
     codes = _codes(elements, q)
     if np.any(codes[1:] <= codes[:-1]):
         raise DomainError("group elements must be distinct and in lexicographic order")
@@ -386,18 +413,24 @@ def cayley_graph(elements: np.ndarray, gens) -> Graph:
 
     find(_codes(np.array([s.entries() for s in gens], dtype=np.int64), q), "generator not in group")
     inv = _inverses(q)
-    a, b, c, d = elements.T
-    cols = np.empty((len(elements), len(gens)), dtype=np.int32)
-    for j, s in enumerate(gens):
-        prod = np.stack(
-            [a * s.a + b * s.c, a * s.b + b * s.d, c * s.a + d * s.c, c * s.b + d * s.d],
-            axis=1,
-        ) % q
-        cols[:, j] = find(_codes(_canonical_rows(prod, q, kind, inv), q), "products leave the element list")
+    # products and rescalings stay below 2q^2; a gather beats a division
+    mod_q = np.arange(2 * q * q, dtype=np.int64) % q
+    n = len(elements)
+    cols = np.empty((n, len(gens)), dtype=np.int32)
+    for j, i in _inverse_pairs(gens):
+        s = gens[j]
+        # g s for every element g = [[a, b], [c, d]]: each row of g times s
+        prod = mod_q[elements @ np.kron(np.eye(2, dtype=np.int64), [[s.a, s.b], [s.c, s.d]])]
+        cols[:, j] = find(_codes(_canonical_rows(prod, q, kind, inv, mod_q), q), "products leave the element list")
+        if i != j:
+            # g -> g s is a permutation; g -> g s^-1 is its inverse
+            back = np.full(n, -1, dtype=np.int32)
+            back[cols[:, j]] = np.arange(n, dtype=np.int32)
+            if np.any(back < 0):
+                raise DomainError("products do not permute the element list")
+            cols[:, i] = back
     cols.sort(axis=1)
-    graph = Graph(len(cols), cols)
-    _check_symmetric(*graph.csr())
-    return graph
+    return Graph(n, cols)
 
 
 def _bfs_levels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -566,8 +599,8 @@ def _bessel(q: int, inv: np.ndarray, logs: np.ndarray) -> np.ndarray:
 
 def _irreducible_spectrum(gens) -> tuple[np.ndarray, np.ndarray]:
     """(values, counts): the eigenvalues of the Cayley graph of PGL(2,q)
-    on gens and their multiplicities, from one dense Hermitian block
-    sum_s pi(s) per irreducible representation pi, counted dim pi times.
+    on gens and their multiplicities, from the dense blocks sum_s pi(s)
+    of the irreducible representations pi, counted dim pi times.
 
     Principal series, on the q + 1 points of P^1, one block per
     character chi of F_q^* up to chi ~ chi^-1: s sends the point v_x =
@@ -581,12 +614,27 @@ def _irreducible_spectrum(gens) -> tuple[np.ndarray, np.ndarray]:
     puts psi(a x / c) j_m(det x z / c^2) psi(d z / c) at [x, z]; as z runs
     the j factor is a Hankel matrix in log x + log z, shared by the
     generators with one det / c^2.
+
+    Half of these blocks are solved. Twisting by sign(det) pairs chi_j
+    with chi_{(q-1)/2 - j} and theta_m with theta_{(q+1)/2 - m}, and on
+    generators whose determinants share one square class eps =
+    sign(det s) the twisted block has eps times the spectrum, so one
+    block of each pair is solved. A discrete-series block H satisfies
+    conj(H) = P H P, where P sends x to -x (a shift of log x by
+    (q-1)/2); with A and B its top-left and top-right quadrants it is
+    unitarily equal to the real symmetric [[Re(A+B), -Im(A-B)],
+    [Im(A+B), Re(A-B)]], which is what is solved.
     """
     q, n = gens[0].q, gens[0].q - 1
+    half = n // 2
     inv = _inverses(q)
     powers, logs = _logarithms(q)
     a, b, c, d = np.array([s.entries() for s in gens]).T
     det = (a * d - b * c) % q
+    eps = 1 - 2 * (logs[det] % 2)
+    if np.any(eps != eps[0]):
+        raise DomainError("generator determinants differ in square class")
+    eps = int(eps[0])
     vals, counts = [], []
 
     x = np.arange(q + 1)
@@ -596,15 +644,17 @@ def _irreducible_spectrum(gens) -> tuple[np.ndarray, np.ndarray]:
     cell = (np.where(bot != 0, top * inv[bot] % q, q) * (q + 1) + x).ravel()
     power = ((2 * logs[np.where(bot != 0, bot, top)] - logs[det][:, None]) % n).ravel()
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    for j in range(q // 2 + 1):
+    for j in range(half // 2 + 1):
         z = roots[j * power % n]
         block = np.bincount(cell, z.real, (q + 1) ** 2) + 1j * np.bincount(cell, z.imag, (q + 1) ** 2)
-        vals.append(np.linalg.eigvalsh(block.reshape(q + 1, q + 1)))
-        if 0 < 2 * j < n:
-            counts.append(np.full(q + 1, q + 1))
-        else:
-            one = np.argmin(np.abs(vals[-1] - roots[j * logs[det] % n].real.sum()))
-            counts.append(np.where(x == one, 1, q))
+        spectrum = np.linalg.eigvalsh(block.reshape(q + 1, q + 1))
+        for i, v in ((j, spectrum), (half - j, eps * spectrum))[: 1 + (j < half - j)]:
+            vals.append(v)
+            if 0 < i < half:
+                counts.append(np.full(q + 1, q + 1))
+            else:
+                one = np.argmin(np.abs(v - roots[i * logs[det] % n].real.sum()))
+                counts.append(np.where(x == one, 1, q))
 
     psi = np.exp(2j * np.pi * np.arange(q) / q)
     e = np.arange(n)
@@ -617,21 +667,28 @@ def _irreducible_spectrum(gens) -> tuple[np.ndarray, np.ndarray]:
     right = psi[d[~low][:, None] * over_c * powers % q]
     shift = logs[det[~low] * inv[c[~low]] ** 2 % q]
     shifts = np.unique(shift)
-    parts = np.array([left[shift == t].T @ right[shift == t] for t in shifts])
+    # the top half of the rows of each block: its quadrants A and B
+    parts = np.array([left[shift == t][:, :half].T @ right[shift == t] for t in shifts])
     bessel = _bessel(q, inv, logs)
-    for m in range(1, q // 2 + 1):
-        hankel = sliding_window_view(np.tile(bessel[:, m], 3), n)[shifts[:, None] + e]
-        vals.append(np.linalg.eigvalsh(base + np.einsum("tij,tij->ij", parts, hankel)))
-        counts.append(np.full(n, n))
+    for m in range(1, (half + 1) // 2 + 1):
+        hankel = sliding_window_view(np.tile(bessel[:, m], 3), n)[shifts[:, None] + e[:half]]
+        upper = base[:half] + np.einsum("tij,tij->ij", parts, hankel)
+        plus, minus = upper[:, :half] + upper[:, half:], upper[:, :half] - upper[:, half:]
+        spectrum = np.linalg.eigvalsh(np.block([[plus.real, -minus.imag], [plus.imag, minus.real]]))
+        pair = (spectrum, eps * spectrum)[: 1 + (m < half + 1 - m)]
+        vals.extend(pair)
+        counts.extend([np.full(n, n)] * len(pair))
     return np.concatenate(vals), np.concatenate(counts)
 
 
-# X^(5,401) takes 15 s and X^(5,593) 57 s (time grows like q^4); the
+# X^(5,401) takes 4.4 s and X^(5,593) 12 s (time grows like q^4); the
 # discrete-series tables hold at most (p+1)(q+1)^2 complex entries.
-# build_lps(5, 113), 1,442,784 vertices, peaks at 503 MB
+# build_lps(5, 113), 1,442,784 vertices, peaks at 318 MB; the (n, p+1)
+# neighbor array is bounded by what p = 5 reaches at the vertex limit
 _SPECTRUM_Q_LIMIT = 600
 _SPECTRUM_ENTRY_LIMIT = 1 << 22
 _BUILD_VERTEX_LIMIT = 1_500_000
+_BUILD_ENTRY_LIMIT = 6 * _BUILD_VERTEX_LIMIT
 
 
 def _check_spectrum_size(p: int, q: int) -> None:
@@ -664,8 +721,8 @@ def _irreducible_report(gens) -> SpectralReport:
 
 def lps_spectrum(p: int, q: int) -> SpectralReport:
     """Spectral summary of X^{p,q} from the irreducible representations
-    of PGL(2,q), without enumerating the group: about q dense blocks of
-    at most q + 1 rows."""
+    of PGL(2,q), without enumerating the group: about q / 2 dense
+    blocks of at most q + 1 rows."""
     _check_lps_args(p, q)
     _check_spectrum_size(p, q)
     return _irreducible_report(generating_set(p, q))
@@ -685,6 +742,11 @@ def build_lps(p: int, q: int) -> tuple[Graph, SpectralReport, dict]:
         raise DomainError(
             f"X^({p},{q}) has {n} vertices; graph build handles at most "
             f"{_BUILD_VERTEX_LIMIT} (graph verify checks the spectrum alone)"
+        )
+    if n * (p + 1) > _BUILD_ENTRY_LIMIT:
+        raise DomainError(
+            f"X^({p},{q}) has {n} vertices of degree {p + 1}; graph build handles at most "
+            f"{_BUILD_ENTRY_LIMIT} adjacency entries (graph verify checks the spectrum alone)"
         )
     _check_spectrum_size(p, q)
     elements = enumerate_group(q, kind)

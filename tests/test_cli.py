@@ -403,7 +403,7 @@ def test_signal_energy_past_float_range(tmp_path, capsys, sample, message):
     assert out_of(capsys) == ("", f"error: {message}\n")
 
 
-def test_import_leaves_numpy_unloaded():
+def test_import_leaves_numpy_unloaded(tmp_path):
     import os
     import subprocess
     import sys
@@ -415,6 +415,15 @@ def test_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import ramkit.cli, sys; assert not {'numpy', 'scipy'} & set(sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # graph check reads its file before it imports lps_graphs
+    code = (
+        "import sys; from ramkit.cli import run; "
+        "code = run(['graph', 'check', '--in', 'missing.txt', '--degree', '6']); "
+        "print('numpy' in sys.modules); sys.exit(code)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "False\n")
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
 def test_pi_past_int_str_digit_cap(capsys):

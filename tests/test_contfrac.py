@@ -489,6 +489,19 @@ def test_verify_zeta3_abs_error_against_euler_closed_form():
             assert abs(got - true) < mpmath.mpf(10) ** -(digits + 14), digits
 
 
+def test_eval_cf_at_depth_one_million_is_correctly_rounded():
+    # 10^6 steps rescale over 10^5 times; floored rescales drifted the
+    # 20-digit value 2 ulp high (...350260 for ...350258)
+    mpmath = pytest.importorskip("mpmath")
+    depth, digits = 10**6, 20
+    res = eval_cf(load_registry()["zeta3"].cf_spec(depth), digits)
+    with mpmath.workdps(digits + 40):
+        conv = 1 / (mpmath.zeta(3) - mpmath.zeta(3, depth + 2))
+        want = int(mpmath.nint(conv * mpmath.mpf(10) ** digits))
+    assert res.value == BigDecimal(want, digits)
+    assert str(res.value) == "0.83190737258105350258"
+
+
 def _positive_poly(max_degree):
     # nonnegative coefficients with a positive constant term, so every
     # term is positive for n >= 1

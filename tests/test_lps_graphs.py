@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ramkit import DomainError
 from ramkit.lps_graphs import (
@@ -14,9 +15,13 @@ from ramkit.lps_graphs import (
     FourSquares,
     Graph,
     ProjMatrix,
+    _bessel,
+    _codes,
     _inverses,
     _irreducible_spectrum,
+    _logarithms,
     _rows,
+    _sources,
     build_lps,
     cayley_graph,
     enumerate_group,
@@ -179,10 +184,78 @@ def test_cayley_graph_rejects_asymmetric_generators():
         cayley_graph(enumerate_group(17, PSL), generating_set(13, 17)[:1])
 
 
+# -- oracle: the Cayley graph with every column computed -------------------
+
+
+def check_symmetric(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Every edge (u, v) appears as often as (v, u)."""
+    n = len(indptr) - 1
+    u = _sources(indptr)
+    v = indices.astype(np.int64)
+    if not np.array_equal(np.sort(u * n + v), np.sort(v * n + u)):
+        raise DomainError("asymmetric adjacency")
+
+
+def every_column_cayley_graph(elements: np.ndarray, gens) -> Graph:
+    """cayley_graph computing one column per generator, inverses
+    included, and checking symmetry by sorting every edge code."""
+    q, kind = gens[0].q, gens[0].kind
+    codes = _codes(elements, q)
+    inv = _inverses(q)
+    a, b, c, d = elements.T
+    cols = np.empty((len(elements), len(gens)), dtype=np.int32)
+    for j, s in enumerate(gens):
+        m = np.stack(
+            [a * s.a + b * s.c, a * s.b + b * s.d, c * s.a + d * s.c, c * s.b + d * s.d],
+            axis=1,
+        ) % q
+        first = np.where(m[:, 0] != 0, m[:, 0], m[:, 1])
+        if kind == PGL:
+            m = m * inv[first][:, None] % q
+        else:
+            flip = first > (q - 1) // 2
+            m[flip] = (q - m[flip]) % q
+        want = _codes(m, q)
+        pos = np.searchsorted(codes, want)
+        assert np.array_equal(codes[pos], want)
+        cols[:, j] = pos
+    cols.sort(axis=1)
+    graph = Graph(len(cols), cols)
+    check_symmetric(*graph.csr())
+    return graph
+
+
+@pytest.mark.parametrize("p,q", [(17, 13), (29, 13), (5, 13), (13, 17), (5, 17), (5, 29), (13, 29), (5, 37)])
+def test_cayley_graph_matches_every_column_oracle(p, q):
+    gens = generating_set(p, q)
+    elements = enumerate_group(q, gens[0].kind)
+    graph = cayley_graph(elements, gens)
+    assert graph.adjacency.dtype == np.int32
+    assert np.array_equal(graph.adjacency, every_column_cayley_graph(elements, gens).adjacency)
+
+
+@pytest.mark.parametrize("kind", [PGL, PSL])
+def test_cayley_graph_pairs_involutions_and_repeats(kind):
+    # w = [[0, -1], [1, 0]] is its own inverse in both groups; repeated
+    # generators and inverses pair off one for one
+    q = 13
+    w = ProjMatrix.canonical(0, -1, 1, 0, q, kind)
+    s = generating_set(17, 13)[0] if kind == PSL else generating_set(5, 13)[0]
+    elements = enumerate_group(q, kind)
+    assert w.inverse() == w and s.inverse() != s
+    for gens in ([w], [s, w, s.inverse()], [s, s, s.inverse(), w, s.inverse(), w]):
+        graph = cayley_graph(elements, gens)
+        assert np.array_equal(graph.adjacency, every_column_cayley_graph(elements, gens).adjacency)
+    with pytest.raises(DomainError, match="asymmetric adjacency"):
+        cayley_graph(elements, [s, s, s.inverse(), w])
+
+
 def test_cayley_graph_rejects_foreign_generator():
     gens = generating_set(5, 29)
     with pytest.raises(DomainError):
         cayley_graph(enumerate_group(13, PSL), gens)
+    with pytest.raises(DomainError, match="entries must lie in"):
+        cayley_graph(enumerate_group(29, PSL) + 29, gens)
 
 
 def test_expansion_constants_exact():
@@ -323,6 +396,81 @@ def whole_graph_spectrum(p: int, q: int) -> np.ndarray:
     graph = build_lps(p, q)[0]
     sources = np.repeat(np.arange(graph.n), p + 1)
     return dense_spectrum(graph.n, sources, graph.adjacency.ravel(), 1.0)
+
+
+def all_blocks_spectrum(gens) -> tuple[np.ndarray, np.ndarray]:
+    """_irreducible_spectrum solving every block as a complex Hermitian
+    matrix, both members of each twisted pair included: principal series
+    on P^1 for j = 0 .. (q-1)/2, discrete series in the Kirillov model
+    for m = 1 .. (q-1)/2."""
+    q, n = gens[0].q, gens[0].q - 1
+    inv = _inverses(q)
+    powers, logs = _logarithms(q)
+    a, b, c, d = np.array([s.entries() for s in gens]).T
+    det = (a * d - b * c) % q
+    vals, counts = [], []
+
+    x = np.arange(q + 1)
+    v0, v1 = np.where(x < q, x, 1), (x < q).astype(np.int64)
+    top = (np.outer(a, v0) + np.outer(b, v1)) % q
+    bot = (np.outer(c, v0) + np.outer(d, v1)) % q
+    cell = (np.where(bot != 0, top * inv[bot] % q, q) * (q + 1) + x).ravel()
+    power = ((2 * logs[np.where(bot != 0, bot, top)] - logs[det][:, None]) % n).ravel()
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for j in range(q // 2 + 1):
+        z = roots[j * power % n]
+        block = np.bincount(cell, z.real, (q + 1) ** 2) + 1j * np.bincount(cell, z.imag, (q + 1) ** 2)
+        vals.append(np.linalg.eigvalsh(block.reshape(q + 1, q + 1)))
+        if 0 < 2 * j < n:
+            counts.append(np.full(q + 1, q + 1))
+        else:
+            one = np.argmin(np.abs(vals[-1] - roots[j * logs[det] % n].real.sum()))
+            counts.append(np.where(x == one, 1, q))
+
+    psi = np.exp(2j * np.pi * np.arange(q) / q)
+    e = np.arange(n)
+    low = c == 0
+    base = np.zeros((n, n), dtype=complex)
+    over_d = inv[d[low]][:, None]
+    np.add.at(base, (e, (e + logs[a[low][:, None] * over_d % q]) % n), psi[b[low][:, None] * over_d * powers % q])
+    over_c = inv[c[~low]][:, None]
+    left = psi[a[~low][:, None] * over_c * powers % q]
+    right = psi[d[~low][:, None] * over_c * powers % q]
+    shift = logs[det[~low] * inv[c[~low]] ** 2 % q]
+    shifts = np.unique(shift)
+    parts = np.array([left[shift == t].T @ right[shift == t] for t in shifts])
+    bessel = _bessel(q, inv, logs)
+    for m in range(1, q // 2 + 1):
+        hankel = sliding_window_view(np.tile(bessel[:, m], 3), n)[shifts[:, None] + e]
+        vals.append(np.linalg.eigvalsh(base + np.einsum("tij,tij->ij", parts, hankel)))
+        counts.append(np.full(n, n))
+    return np.concatenate(vals), np.concatenate(counts)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(5, 13), (17, 13), (13, 17), (5, 29), (13, 29), (5, 37), (13, 37), (37, 41), (29, 61), (5, 61)]
+)
+def test_irreducible_spectrum_matches_all_blocks(p, q):
+    # one block per twisted pair, real discrete-series blocks, against
+    # every block solved as a complex matrix: values with multiplicities
+    gens = generating_set(p, q)
+    vals, counts = _irreducible_spectrum(gens)
+    want_vals, want_counts = all_blocks_spectrum(gens)
+    assert counts.sum() == want_counts.sum() == group_order(q, PGL)
+    got, want = np.sort(np.repeat(vals, counts)), np.sort(np.repeat(want_vals, want_counts))
+    assert np.max(np.abs(got - want)) < 1e-12
+    # the one-dimensional eigenvalues: k once, and -k once when bipartite
+    k = p + 1
+    for target in (k, -k):
+        assert counts[np.abs(vals - target) < 1e-8].sum() == want_counts[np.abs(want_vals - target) < 1e-8].sum()
+
+
+def test_irreducible_spectrum_needs_one_determinant_class():
+    # the twisted-pair shortcut needs sign(det s) equal on every generator
+    gens = generating_set(5, 13)
+    w = ProjMatrix.canonical(0, -1, 1, 0, 13, PGL)
+    with pytest.raises(DomainError, match="square class"):
+        _irreducible_spectrum([*gens, w])
 
 
 def irreducible_union(p: int, q: int) -> np.ndarray:
@@ -553,6 +701,9 @@ def test_lps_size_guard_raises_before_allocating():
         for p, q in ((40193, 401), (2549, 101), (29, 401)):
             with pytest.raises(DomainError, match="generators"):
                 lps_spectrum(p, q)
+        # under the vertex limit, but 721,392 vertices of degree 318
+        with pytest.raises(DomainError, match="adjacency entries"):
+            build_lps(317, 113)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
